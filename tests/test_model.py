@@ -154,3 +154,74 @@ def test_model_spec_rejects_unknown_keys(hawkes):
 
 def test_fingerprint_distinguishes_models(hawkes, bernoulli_ar1):
     assert hawkes.fingerprint() != bernoulli_ar1.fingerprint()
+
+
+FINITE_NOTE = "finitely many nonzero lags, tail conditions hold trivially"
+GEOMETRIC_NOTE = "geometric decay dominates every polynomial"
+
+# Per model: (mean_l1, var_l1, C1 or None, (a, C2) or None, tail note, immigration mean, variance)
+PINNED_REPORTS = {
+    "hawkes": (0.5, 0.5, 0.3535533905932738, (2.0, 0.5625), GEOMETRIC_NOTE, 1.0, 1.0),
+    "bernoulli_ar1": (0.4, 0.24, 0.4, (2.0, 0.4), FINITE_NOTE, 0.5, 0.25),
+    "two_lag": (0.6, 0.415, 0.7071067811865476, (2.0, 1.0), FINITE_NOTE, 0.5, 0.25),
+    "finite_mix": (0.4, 0.44000000000000006, 0.4, (2.0, 0.4), FINITE_NOTE, 0.9, 0.49),
+    "pure_immigration": (0.0, 0.0, 0.0, (2.0, 0.0), FINITE_NOTE, 1.0, 1.0),
+    "power_law_heavy": (
+        0.5591582441177753, 0.5591582441177753, None, None,
+        "power-law decay with exponent 1.2", 1.0, 1.0,
+    ),
+    "power_law_boundary": (
+        0.26123753486854884, 0.26123753486854884, 0.1, None,
+        "power-law decay with exponent 1.5", 1.0, 1.0,
+    ),
+    "power_law_light": (
+        0.49348022005446796, 0.49348022005446796, 0.3, (2.0, 0.3),
+        "power-law decay with exponent 2.0", 1.0, 1.0,
+    ),
+    "finite_decay": (0.5, 0.5, 1.0392304845413265, (2.0, 1.8), FINITE_NOTE, 1.0, 1.0),
+}
+
+EXTRA_PINNED_MODELS = {
+    "power_law_heavy": InarModel(IMM, PoissonOffspring(PowerLawDecay(c=0.1, a=1.2))),
+    "power_law_boundary": InarModel(IMM, PoissonOffspring(PowerLawDecay(c=0.1, a=1.5))),
+    "power_law_light": InarModel(IMM, PoissonOffspring(PowerLawDecay(c=0.3, a=2.0))),
+    "finite_decay": InarModel(IMM, PoissonOffspring(FiniteDecay((0.3, 0.0, 0.2)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_validate_report_pinned(name, request):
+    """The whole assumption report, holds flags, constants and detail strings included."""
+    m = EXTRA_PINNED_MODELS.get(name) or request.getfixturevalue(name)
+    mean_l1, var_l1, c1, a_c2, note, imm_mean, imm_var = PINNED_REPORTS[name]
+    expected = {
+        "mean_l1": mean_l1,
+        "var_l1": var_l1,
+        "items": [
+            {
+                "label": "a",
+                "holds": True,
+                "detail": "offspring mean l1 norm below 1 and offspring variance l1 norm finite",
+                "constants": {"mean_l1": mean_l1, "var_l1": var_l1},
+            },
+            {
+                "label": "b1",
+                "holds": c1 is not None,
+                "detail": f"lag means decay at least like k**(-3/2); {note}",
+                "constants": {} if c1 is None else {"C1": c1},
+            },
+            {
+                "label": "b2",
+                "holds": a_c2 is not None,
+                "detail": f"lag means decay like k**(-a) for some a > 3/2; {note}",
+                "constants": {} if a_c2 is None else {"a": a_c2[0], "C2": a_c2[1]},
+            },
+            {
+                "label": "c",
+                "holds": True,
+                "detail": "immigration mean and variance finite",
+                "constants": {"mean": imm_mean, "variance": imm_var},
+            },
+        ],
+    }
+    assert validate(m).to_dict() == expected
