@@ -6,9 +6,10 @@ tilt and the fixed-point tilt, the limiting scaled cumulant generating
 function, and the large/moderate-deviation rate functions.
 
 Root-finding is bisection only: concavity guarantees bracketing, and
-robustness beats speed at these scales.  Derivatives use the catalog's
-closed forms.  Fixed-point roots are located to 1e-12 in the argument,
-transform optima to 1e-10.
+robustness beats speed at these scales.  One bracket search and one
+bisection serve every solve.  Derivatives use the catalog's closed forms.
+Fixed-point roots are located to 1e-12 in the argument, transform optima
+to 1e-10.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import AssumptionViolation
 from .model import (
     ExplicitOffspring,
     InarModel,
-    PoissonOffspring,
     offspring_mean_l1,
     offspring_var_l1,
     require_assumptions,
@@ -47,68 +47,38 @@ OPT_XTOL = 1e-10
 _MAX_GROW = 200
 
 
-def _safe_expm1(t: float) -> float:
-    try:
-        return math.expm1(t)
-    except OverflowError:
-        return math.inf
+def _bracket(left_of_root, bound: float) -> tuple:
+    """Walk from 0 toward ``bound`` until a probe lands across the root.
+
+    Probes double from +-1 when the bound is infinite and halve their gap
+    to it otherwise.  Returns (lo, hi) around the root, with None on the
+    far side when no probe crossed.
+    """
+    rightward = bound > 0.0
+    near = 0.0
+    for j in range(1, _MAX_GROW):
+        if math.isinf(bound):
+            probe = math.copysign(2.0 ** (j - 1), bound)
+        else:
+            probe = bound * (1.0 - 0.5**j)
+        if probe == near:
+            continue
+        if left_of_root(probe) != rightward:
+            return (near, probe) if rightward else (probe, near)
+        near = probe
+    return (near, None) if rightward else (None, near)
 
 
-def _safe_exp(t: float) -> float:
-    try:
-        return math.exp(t)
-    except OverflowError:
-        return math.inf
-
-
-def _offspring_cgf(m: InarModel, x: float) -> float:
-    """sum_k log E[exp(x xi_k)]; +inf past the domain."""
-    if isinstance(m.offspring, PoissonOffspring):
-        total = m.offspring.decay.total()
-        if total == 0.0:
-            return 0.0
-        return total * _safe_expm1(x)
-    terms = []
-    for law in m.offspring.laws:
-        t = law.log_mgf(x)
-        if t == math.inf:
-            return math.inf
-        terms.append(t)
-    return math.fsum(terms)
-
-
-def _offspring_cgf_prime(m: InarModel, x: float) -> float:
-    if isinstance(m.offspring, PoissonOffspring):
-        total = m.offspring.decay.total()
-        if total == 0.0:
-            return 0.0
-        return total * _safe_exp(x)
-    terms = []
-    for law in m.offspring.laws:
-        t = law.log_mgf_prime(x)
-        if t == math.inf:
-            return math.inf
-        terms.append(t)
-    return math.fsum(terms)
-
-
-def _offspring_domain_sup(m: InarModel) -> float:
-    if isinstance(m.offspring, PoissonOffspring):
-        return math.inf
-    return min((law.log_mgf_domain_sup() for law in m.offspring.laws), default=math.inf)
-
-
-def _offspring_support_total(m: InarModel) -> float:
-    """Sum of per-lag support maxima; inf when any lag is unbounded."""
-    if isinstance(m.offspring, PoissonOffspring):
-        return 0.0 if m.offspring.decay.total() == 0.0 else math.inf
-    total = 0
-    for law in m.offspring.laws:
-        s = law.support_max()
-        if s is None:
-            return math.inf
-        total += s
-    return float(total)
+def _bisect(left_of_root, lo: float, hi: float, xtol: float) -> float:
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if left_of_root(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def tilt_gap(m: InarModel, x: float) -> float:
@@ -117,17 +87,13 @@ def tilt_gap(m: InarModel, x: float) -> float:
     Concave, F(0) = 0, and F'(0) = 1 - mean_l1 > 0 under subcriticality.
     Returns -inf when the offspring log-MGF diverges at x.
     """
-    g = _offspring_cgf(m, x)
-    if g == math.inf:
-        return -math.inf
-    return x - g
+    g = m.offspring.cgf(x)
+    return -math.inf if g == math.inf else x - g
 
 
 def _tilt_gap_prime(m: InarModel, x: float) -> float:
-    g = _offspring_cgf_prime(m, x)
-    if g == math.inf:
-        return -math.inf
-    return 1.0 - g
+    g = m.offspring.cgf_prime(x)
+    return -math.inf if g == math.inf else 1.0 - g
 
 
 @dataclass(frozen=True)
@@ -142,7 +108,7 @@ def _critical_tilt(m: InarModel) -> _CriticalTilt:
     mean_l1 = offspring_mean_l1(m)
     if mean_l1 >= 1.0:
         raise AssumptionViolation("a", f"offspring mean l1 norm is {mean_l1}, must be below 1")
-    s_total = _offspring_support_total(m)
+    s_total = m.offspring.support_total()
     if s_total < 1.0:
         # no offspring at all: F is the identity, unbounded above
         return _CriticalTilt(value=math.inf, attained=False, argmax=math.nan)
@@ -153,33 +119,11 @@ def _critical_tilt(m: InarModel) -> _CriticalTilt:
         )
         return _CriticalTilt(value=asymptote, attained=False, argmax=math.nan)
     # F' crosses zero at an interior maximizer
-    dom = _offspring_domain_sup(m)
-    hi = None
-    if math.isinf(dom):
-        cand = 1.0
-        for _ in range(_MAX_GROW):
-            if _tilt_gap_prime(m, cand) < 0.0:
-                hi = cand
-                break
-            cand *= 2.0
-    else:
-        for j in range(1, _MAX_GROW):
-            cand = dom * (1.0 - 0.5**j)
-            if _tilt_gap_prime(m, cand) < 0.0:
-                hi = cand
-                break
+    rising = lambda x: _tilt_gap_prime(m, x) > 0.0
+    lo, hi = _bracket(rising, m.offspring.domain_sup())
     if hi is None:
         raise RuntimeError("failed to bracket the maximizer of the tilt gap")
-    lo = 0.0
-    while hi - lo > OPT_XTOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _tilt_gap_prime(m, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x_star = 0.5 * (lo + hi)
+    x_star = _bisect(rising, lo, hi, OPT_XTOL)
     return _CriticalTilt(value=tilt_gap(m, x_star), attained=True, argmax=x_star)
 
 
@@ -211,41 +155,18 @@ def tilt_fixed_point(m: InarModel, theta: float) -> float:
             )
         return ct.argmax
 
-    if theta > 0.0:
-        lo = 0.0
-        if ct.attained:
-            hi = ct.argmax
-            if tilt_gap(m, hi) < theta:
-                # theta within rounding of the critical value
-                return hi
-        else:
-            hi = 1.0
-            for _ in range(_MAX_GROW):
-                if tilt_gap(m, hi) >= theta:
-                    break
-                hi *= 2.0
-            else:
-                raise ValueError(f"no fixed point found below tilt {theta}")
+    # F is increasing left of its maximizer, so the root is where F crosses theta
+    below = lambda x: tilt_gap(m, x) < theta
+    if theta > 0.0 and ct.attained:
+        if below(ct.argmax):
+            # theta within rounding of the critical value
+            return ct.argmax
+        lo, hi = 0.0, ct.argmax
     else:
-        hi = 0.0
-        lo = -1.0
-        for _ in range(_MAX_GROW):
-            if tilt_gap(m, lo) <= theta:
-                break
-            lo *= 2.0
-        else:
-            raise RuntimeError("failed to bracket the fixed point on the left")
-
-    # F is increasing on [lo, hi] with F(lo) <= theta <= F(hi)
-    while hi - lo > ROOT_XTOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if tilt_gap(m, mid) < theta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        lo, hi = _bracket(below, math.copysign(math.inf, theta))
+        if lo is None or hi is None:
+            raise ValueError(f"no fixed point found for tilt {theta}")
+    return _bisect(below, lo, hi, ROOT_XTOL)
 
 
 def limit_cgf(m: InarModel, theta: float) -> float:
@@ -259,18 +180,6 @@ def limit_cgf(m: InarModel, theta: float) -> float:
         return math.inf
     f = tilt_fixed_point(m, theta)
     return m.immigration.log_mgf(f)
-
-
-def _limit_cgf_prime(m: InarModel, theta: float) -> float:
-    """Derivative of the limiting CGF, via the fixed point's closed-form slope."""
-    f = tilt_fixed_point(m, theta)
-    slope = _tilt_gap_prime(m, f)
-    num = m.immigration.log_mgf_prime(f)
-    if slope <= 0.0:
-        return math.inf
-    if num == math.inf:
-        return math.inf
-    return num / slope
 
 
 def lln_mean(m: InarModel) -> float:
@@ -298,73 +207,55 @@ def mdp_rate(m: InarModel, x: float) -> float:
     return x * x / (2.0 * sigma2)
 
 
-def _rate_at_zero(imm: CountDistribution) -> float:
-    p0 = imm.pmf(0)
-    if p0 == 0.0:
+def _legendre_at_fixed_point(m: InarModel, x: float, f_max: float) -> float:
+    """sup over theta of theta x - limit_cgf(theta), parametrized by the fixed point f.
+
+    With theta = F(f) the objective is x F(f) - log E[exp(f eps)] for f up
+    to f_max or the edge of the offspring and immigration domains.  Its
+    slope x F'(f) - (d/df) log E[exp(f eps)] has the sign of x minus the
+    limiting CGF's slope, so one bisection on that sign finds the
+    maximizer.  When the slope keeps its sign up to the boundary, the
+    supremum is the limit there.
+    """
+    if x < 0.0:
         return math.inf
-    return -math.log(p0)
+    if x == 0.0:
+        p0 = m.immigration.pmf(0)
+        return math.inf if p0 == 0.0 else -math.log(p0)
+    imm_max = m.immigration.support_max()
+    if m.offspring.support_total() < 1.0 and imm_max is not None and x > float(imm_max):
+        # no offspring and bounded immigration: means above the max are unreachable
+        return math.inf
+
+    def objective(f: float) -> float:
+        return x * tilt_gap(m, f) - m.immigration.log_mgf(f)
+
+    def rising(f: float) -> bool:
+        return x * _tilt_gap_prime(m, f) - m.immigration.log_mgf_prime(f) > 0.0
+
+    if rising(0.0):
+        bound = min(f_max, m.offspring.domain_sup(), m.immigration.log_mgf_domain_sup())
+    else:
+        bound = -math.inf
+    lo, hi = _bracket(rising, bound)
+    if lo is None or hi is None:
+        return max(0.0, objective(hi if lo is None else lo))
+    return max(0.0, objective(_bisect(rising, lo, hi, OPT_XTOL)))
 
 
 def ldp_rate(m: InarModel, x: float) -> float:
     """Large-deviation rate: Legendre transform of the limiting CGF.
 
-    Solved by bisection on the derivative when the stationary tilt is
-    interior (essential smoothness pushes the derivative to +inf at the
-    critical tilt, so targets above the mean always bracket); means
+    Solved in the fixed-point variable f rather than the tilt, with one
+    bisection: as f runs up to the maximizer of F (or to the domain edge
+    when F has none) the tilt F(f) runs over its whole range.  Means
     outside the reachable range give +inf.
     """
     require_assumptions(m, labels=("a", "c"))
-    if x < 0.0:
-        return math.inf
-    if x == 0.0:
-        return _rate_at_zero(m.immigration)
-    mu = lln_mean(m)
-    if x == mu:
+    if x == lln_mean(m):
         return 0.0
     ct = _critical_tilt(m)
-
-    if x > mu:
-        imm_max = m.immigration.support_max()
-        s_total = _offspring_support_total(m)
-        if imm_max is not None and s_total < 1.0 and x > float(imm_max):
-            # no offspring and bounded immigration: means above the max are unreachable
-            return math.inf
-        lo = 0.0
-        hi = None
-        for j in range(1, _MAX_GROW):
-            probe = ct.value * (1.0 - 0.5**j) if math.isfinite(ct.value) else float(2 ** (j - 1))
-            if probe <= lo:
-                continue
-            if _limit_cgf_prime(m, probe) >= x:
-                hi = probe
-                break
-            lo = probe
-        if hi is None:
-            # derivative saturates below x; the supremum is the boundary limit
-            return max(0.0, lo * x - limit_cgf(m, lo))
-    else:
-        hi = 0.0
-        lo = None
-        probe = -1.0
-        for _ in range(_MAX_GROW):
-            if _limit_cgf_prime(m, probe) <= x:
-                lo = probe
-                break
-            hi = probe
-            probe *= 2.0
-        if lo is None:
-            return max(0.0, hi * x - limit_cgf(m, hi))
-
-    while hi - lo > OPT_XTOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _limit_cgf_prime(m, mid) < x:
-            lo = mid
-        else:
-            hi = mid
-    theta_star = 0.5 * (lo + hi)
-    return max(0.0, theta_star * x - limit_cgf(m, theta_star))
+    return _legendre_at_fixed_point(m, x, ct.argmax if ct.attained else math.inf)
 
 
 def inar1_ldp_rate(eps: CountDistribution, xi1: CountDistribution, x: float) -> float:
@@ -372,76 +263,12 @@ def inar1_ldp_rate(eps: CountDistribution, xi1: CountDistribution, x: float) -> 
 
     Maximizes psi -> x (psi - log E[exp(psi xi1)]) - log E[exp(psi eps)],
     which reparameterizes the Legendre transform of the limiting CGF for
-    the model with only the first lag active.
+    the model with only the first lag active: the same solve as
+    ``ldp_rate``, over the whole domain of psi.
     """
     if not xi1.mean() < 1.0:
         raise AssumptionViolation("a", f"offspring mean is {xi1.mean()}, must be below 1")
-    if x < 0.0:
-        return math.inf
-    if x == 0.0:
-        return _rate_at_zero(eps)
-
-    dom = min(eps.log_mgf_domain_sup(), xi1.log_mgf_domain_sup())
-
-    def objective(psi: float) -> float:
-        a = xi1.log_mgf(psi)
-        b = eps.log_mgf(psi)
-        if a == math.inf or b == math.inf:
-            return -math.inf
-        return x * (psi - a) - b
-
-    def slope(psi: float) -> float:
-        a = xi1.log_mgf_prime(psi)
-        b = eps.log_mgf_prime(psi)
-        if a == math.inf or b == math.inf:
-            return -math.inf
-        return x * (1.0 - a) - b
-
-    # slope is decreasing; find a sign change around the maximizer
-    if slope(0.0) >= 0.0:
-        lo = 0.0
-        hi = None
-        if math.isinf(dom):
-            cand = 1.0
-            for _ in range(_MAX_GROW):
-                if slope(cand) <= 0.0:
-                    hi = cand
-                    break
-                lo = cand
-                cand *= 2.0
-        else:
-            for j in range(1, _MAX_GROW):
-                cand = dom * (1.0 - 0.5**j)
-                if cand <= lo:
-                    continue
-                if slope(cand) <= 0.0:
-                    hi = cand
-                    break
-                lo = cand
-        if hi is None:
-            return max(0.0, objective(lo))
-    else:
-        hi = 0.0
-        lo = None
-        cand = -1.0
-        for _ in range(_MAX_GROW):
-            if slope(cand) >= 0.0:
-                lo = cand
-                break
-            hi = cand
-            cand *= 2.0
-        if lo is None:
-            return max(0.0, objective(hi))
-
-    while hi - lo > OPT_XTOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return max(0.0, objective(0.5 * (lo + hi)))
+    return _legendre_at_fixed_point(InarModel(eps, ExplicitOffspring((xi1,))), x, math.inf)
 
 
 @dataclass(frozen=True)

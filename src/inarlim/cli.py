@@ -18,12 +18,13 @@ import json
 import math
 import secrets
 import sys
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
 
 from .asymptotics import critical_tilt, ldp_rate, mdp_rate, theory_summary
 from .errors import AssumptionViolation, ConfigError, EnumerationError
 from .model import InarModel, model_from_spec, require_assumptions
-from .montecarlo import validate_clt, validate_gamma, validate_lln, validate_mdp
+from .montecarlo import ValidationReport, validate_clt, validate_gamma, validate_lln, validate_mdp
 from .oracle import enumerate_sum_distribution, oracle_log_mgf
 from .recursions import MdpSchedule, cesaro_check, gbar_tables, log_mgf_exact, mdp_mgf_curve, tilt_recursion
 from .simulate import RandomStream, simulate, simulate_batch
@@ -38,7 +39,6 @@ EXIT_ASSUMPTION = 3
 ORACLE_THETA_GRID = (-1.0, -0.3, 0.0, 0.4, math.log(2.0))
 ORACLE_TOL = 1e-10
 CESARO_REL_TOL = 0.01
-CHECK_NAMES = ("lln", "clt", "mdp", "gamma", "cesaro", "oracle")
 
 
 @dataclass
@@ -166,35 +166,48 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cesaro_report(cfg: RunConfig, n: int) -> dict:
+def _check_gamma(cfg: RunConfig, seed: int) -> ValidationReport:
+    if cfg.theta_grid:
+        grid = cfg.theta_grid
+    else:
+        tc, _ = critical_tilt(cfg.model)
+        grid = tuple(0.5 * tc * frac for frac in (0.2, 0.5, 1.0))
+    return validate_gamma(cfg.model, grid, cfg.n or 1000, cfg.reps or 2000, seed)
+
+
+def _check_cesaro(cfg: RunConfig, seed: int) -> ValidationReport:
+    """Deterministic: Cesaro means of the expansion tables against their limits."""
+    start = time.perf_counter()
+    n = cfg.n or 100_000
     chk = cesaro_check(cfg.model, n)
-    pairs = chk.pairs()
-    rel = [abs(e - l) / abs(l) if l != 0.0 else abs(e) for e, l in pairs]
-    return {
-        "theorem": "cesaro",
-        "model_fingerprint": cfg.model.fingerprint(),
-        "n": n,
-        "reps": 0,
-        "seed": 0,
-        "statistics": {
+    rel = [abs(e - l) / abs(l) if l != 0.0 else abs(e) for e, l in chk.pairs()]
+    return ValidationReport(
+        theorem="cesaro",
+        model_fingerprint=cfg.model.fingerprint(),
+        n=n,
+        reps=0,
+        seed=0,
+        statistics={
             "g1_mean": chk.g1_mean,
             "g1_sq_mean": chk.g1_sq_mean,
             "g2_mean": chk.g2_mean,
             "relative_errors": rel,
         },
-        "targets": {
+        targets={
             "g1_limit": chk.g1_limit,
             "g1_sq_limit": chk.g1_sq_limit,
             "g2_limit": chk.g2_limit,
             "relative_tolerance": CESARO_REL_TOL,
         },
-        "passed": bool(all(r < CESARO_REL_TOL for r in rel)),
-        "runtime_seconds": 0.0,
-        "notes": {},
-    }
+        passed=bool(all(r < CESARO_REL_TOL for r in rel)),
+        runtime_seconds=time.perf_counter() - start,
+    )
 
 
-def _oracle_report(cfg: RunConfig, n_max: int, out_prefix: str | None) -> dict:
+def _check_oracle(cfg: RunConfig, seed: int) -> ValidationReport:
+    """Deterministic: the tilt recursion against the oracle DP for every n up to --n."""
+    start = time.perf_counter()
+    n_max = cfg.n or 4
     points = []
     worst = 0.0
     for n in range(1, n_max + 1):
@@ -204,86 +217,67 @@ def _oracle_report(cfg: RunConfig, n_max: int, out_prefix: str | None) -> dict:
             gap = abs(a - b)
             worst = max(worst, gap)
             points.append({"n": n, "theta": theta, "gap": gap})
-    if out_prefix is not None:
+    if cfg.out is not None:
         law = enumerate_sum_distribution(cfg.model, n_max)
         rows = sorted(law.probs.items())
-        _write_text(f"{out_prefix}.oracle_law.csv", _csv_text(["s", "prob"], rows))
-    return {
-        "theorem": "oracle",
-        "model_fingerprint": cfg.model.fingerprint(),
-        "n": n_max,
-        "reps": 0,
-        "seed": 0,
-        "statistics": {"worst_gap": worst, "points": points},
-        "targets": {"tolerance": ORACLE_TOL},
-        "passed": bool(worst < ORACLE_TOL),
-        "runtime_seconds": 0.0,
-        "notes": {},
-    }
+        _write_text(f"{cfg.out}.oracle_law.csv", _csv_text(["s", "prob"], rows))
+    return ValidationReport(
+        theorem="oracle",
+        model_fingerprint=cfg.model.fingerprint(),
+        n=n_max,
+        reps=0,
+        seed=0,
+        statistics={"worst_gap": worst, "points": points},
+        targets={"tolerance": ORACLE_TOL},
+        passed=bool(worst < ORACLE_TOL),
+        runtime_seconds=time.perf_counter() - start,
+    )
+
+
+# Check name -> (config, seed) -> report.  The deterministic checks ignore the seed.
+CHECKS = {
+    "lln": lambda cfg, seed: validate_lln(cfg.model, cfg.n or 5000, cfg.reps or 500, seed),
+    "clt": lambda cfg, seed: validate_clt(cfg.model, cfg.n or 2000, cfg.reps or 2000, seed),
+    "mdp": lambda cfg, seed: validate_mdp(
+        cfg.model,
+        x=cfg.x if cfg.x is not None else 1.0,
+        beta=cfg.beta if cfg.beta is not None else 0.6,
+        n=cfg.n or 10_000,
+        reps=cfg.reps,
+        seed=seed,
+    ),
+    "gamma": _check_gamma,
+    "cesaro": _check_cesaro,
+    "oracle": _check_oracle,
+}
 
 
 def cmd_validate(cfg: RunConfig) -> int:
     require_assumptions(cfg.model, labels=("a", "c"))
     checks = cfg.checks or ("lln",)
     for name in checks:
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"unknown check {name!r}; choose from {', '.join(CHECK_NAMES)}")
+        if name not in CHECKS:
+            raise ConfigError(f"unknown check {name!r}; choose from {', '.join(CHECKS)}")
     seed, drawn = cfg.resolved_seed()
     if drawn:
         print(f"seed: {seed} (drawn from system entropy)", file=sys.stderr)
 
-    reports = []
-    for name in checks:
-        if name == "lln":
-            rep = validate_lln(cfg.model, cfg.n or 5000, cfg.reps or 500, seed)
-            reports.append(rep.to_dict())
-        elif name == "clt":
-            rep = validate_clt(cfg.model, cfg.n or 2000, cfg.reps or 2000, seed)
-            reports.append(rep.to_dict())
-        elif name == "mdp":
-            rep = validate_mdp(
-                cfg.model,
-                x=cfg.x if cfg.x is not None else 1.0,
-                beta=cfg.beta if cfg.beta is not None else 0.6,
-                n=cfg.n or 10_000,
-                reps=cfg.reps,
-                seed=seed,
-            )
-            reports.append(rep.to_dict())
-        elif name == "gamma":
-            if cfg.theta_grid:
-                grid = cfg.theta_grid
-            else:
-                tc, _ = critical_tilt(cfg.model)
-                grid = tuple(0.5 * tc * frac for frac in (0.2, 0.5, 1.0))
-            rep = validate_gamma(cfg.model, grid, cfg.n or 1000, cfg.reps or 2000, seed)
-            reports.append(rep.to_dict())
-        elif name == "cesaro":
-            reports.append(_cesaro_report(cfg, cfg.n or 100_000))
-        else:
-            reports.append(_oracle_report(cfg, cfg.n or 4, cfg.out))
-
-    prefix = cfg.out
-    summary_rows = []
-    for rep in reports:
-        if prefix is not None:
-            _write_text(
-                f"{prefix}.{rep['theorem']}.json", json.dumps(_jsonable(rep), indent=2) + "\n"
-            )
-        summary_rows.append(
-            (rep["theorem"], rep["n"], rep["reps"], rep["seed"], int(rep["passed"]))
-        )
+    reports = [CHECKS[name](cfg, seed) for name in checks]
+    payloads = [_jsonable(asdict(rep)) for rep in reports]
+    if cfg.out is not None:
+        for rep, payload in zip(reports, payloads):
+            _write_text(f"{cfg.out}.{rep.theorem}.json", json.dumps(payload, indent=2) + "\n")
+    summary_rows = [(rep.theorem, rep.n, rep.reps, rep.seed, int(rep.passed)) for rep in reports]
     summary_csv = _csv_text(["theorem", "n", "reps", "seed", "passed"], summary_rows)
-    if prefix is not None:
-        _write_text(f"{prefix}.summary.csv", summary_csv)
+    if cfg.out is not None:
+        _write_text(f"{cfg.out}.summary.csv", summary_csv)
     if cfg.fmt == "csv":
         sys.stdout.write(summary_csv)
     else:
-        sys.stdout.write(json.dumps(_jsonable(reports), indent=2) + "\n")
+        sys.stdout.write(json.dumps(payloads, indent=2) + "\n")
     for rep in reports:
-        verdict = "PASS" if rep["passed"] else "FAIL"
-        print(f"{rep['theorem']}: {verdict}", file=sys.stderr)
-    return EXIT_OK if all(rep["passed"] for rep in reports) else EXIT_VALIDATION_FAILED
+        print(f"{rep.theorem}: {'PASS' if rep.passed else 'FAIL'}", file=sys.stderr)
+    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_VALIDATION_FAILED
 
 
 def cmd_recursion(cfg: RunConfig) -> int:
@@ -339,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="empirical and deterministic theorem checks")
     add_common(p_val)
-    p_val.add_argument("--checks", default="lln", help=f"comma list from {','.join(CHECK_NAMES)}")
+    p_val.add_argument("--checks", default="lln", help=f"comma list from {','.join(CHECKS)}")
     p_val.add_argument("--beta", type=float, default=None)
     p_val.add_argument("--x", type=float, default=None)
     p_val.add_argument("--theta-grid", default=None, help="comma-separated tilt grid")

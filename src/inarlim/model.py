@@ -66,6 +66,20 @@ class GeometricDecay:
     def tail(self, after: int) -> float:
         return self.c * self.r**after / (1.0 - self.r)
 
+    def poly_sup(self, power: float) -> float:
+        """sup over k >= 1 of k**power * c * r**(k-1)."""
+        if self.c == 0.0:
+            return 0.0
+        k_star = -power / math.log(self.r)
+        return max(
+            k**power * self.c * self.r ** (k - 1)
+            for k in {1, max(1, math.floor(k_star)), math.ceil(k_star)}
+        )
+
+    def tail_witness(self) -> tuple:
+        """(exponent a of a witnessing k**(-a) bound, description of the tail)."""
+        return 2.0, "geometric decay dominates every polynomial"
+
     def to_spec(self) -> dict:
         return {"type": "geometric", "c": self.c, "r": self.r}
 
@@ -96,6 +110,15 @@ class PowerLawDecay:
             return 0.0
         return self.c * float(zeta(self.a, after + 1))
 
+    def poly_sup(self, power: float) -> float:
+        """sup over k >= 1 of k**power * c * k**(-a): attained at k = 1 unless power > a."""
+        if self.c == 0.0:
+            return 0.0
+        return math.inf if power > self.a else self.c
+
+    def tail_witness(self) -> tuple:
+        return self.a, f"power-law decay with exponent {self.a}"
+
     def to_spec(self) -> dict:
         return {"type": "power_law", "c": self.c, "a": self.a}
 
@@ -125,11 +148,27 @@ class FiniteDecay:
     def tail(self, after: int) -> float:
         return math.fsum(self.values[after:])
 
+    def poly_sup(self, power: float) -> float:
+        return max((k**power * v for k, v in enumerate(self.values, start=1)), default=0.0)
+
+    def tail_witness(self) -> tuple:
+        return 2.0, "finitely many nonzero lags, tail conditions hold trivially"
+
     def to_spec(self) -> dict:
         return {"type": "finite_list", "values": list(self.values)}
 
 
 DecayLaw = Union[GeometricDecay, PowerLawDecay, FiniteDecay]
+
+
+def _fsum_or_inf(terms) -> float:
+    """Exact sum of the terms, or +inf as soon as one of them is +inf."""
+    kept = []
+    for t in terms:
+        if t == math.inf:
+            return math.inf
+        kept.append(t)
+    return math.fsum(kept)
 
 
 @dataclass(frozen=True)
@@ -145,17 +184,18 @@ class ExplicitOffspring:
                 raise ConfigError(f"offspring entries must be count distributions, got {law!r}")
         object.__setattr__(self, "laws", laws)
 
+    def mean_decay(self) -> FiniteDecay:
+        """The per-lag offspring means, as a finite decay law."""
+        return FiniteDecay(tuple(law.mean() for law in self.laws))
+
     def mean_l1(self) -> float:
-        return math.fsum(law.mean() for law in self.laws)
+        return self.mean_decay().total()
 
     def var_l1(self) -> float:
         return math.fsum(law.variance() for law in self.laws)
 
     def mean_coefficients(self, upto: int) -> np.ndarray:
-        out = np.zeros(upto, dtype=np.float64)
-        for k, law in enumerate(self.laws[:upto]):
-            out[k] = law.mean()
-        return out
+        return self.mean_decay().coefficients(upto)
 
     def var_coefficients(self, upto: int) -> np.ndarray:
         out = np.zeros(upto, dtype=np.float64)
@@ -164,7 +204,23 @@ class ExplicitOffspring:
         return out
 
     def mean_tail(self, after: int) -> float:
-        return math.fsum(law.mean() for law in self.laws[after:])
+        return self.mean_decay().tail(after)
+
+    def cgf(self, x: float) -> float:
+        """sum_k log E[exp(x xi_k)]; +inf past the domain."""
+        return _fsum_or_inf(law.log_mgf(x) for law in self.laws)
+
+    def cgf_prime(self, x: float) -> float:
+        return _fsum_or_inf(law.log_mgf_prime(x) for law in self.laws)
+
+    def domain_sup(self) -> float:
+        """Supremum of the tilts where every lag's log-MGF is finite."""
+        return min((law.log_mgf_domain_sup() for law in self.laws), default=math.inf)
+
+    def support_total(self) -> float:
+        """Sum of the per-lag support maxima; inf when any lag is unbounded."""
+        maxima = [law.support_max() for law in self.laws]
+        return math.inf if None in maxima else float(sum(maxima))
 
     def to_spec(self) -> dict:
         return {"type": "explicit", "laws": [law.to_spec() for law in self.laws]}
@@ -172,12 +228,20 @@ class ExplicitOffspring:
 
 @dataclass(frozen=True)
 class PoissonOffspring:
-    """Offspring at lag k distributed Poisson(alpha_k), alpha given by a decay law."""
+    """Offspring at lag k distributed Poisson(alpha_k), alpha given by a decay law.
+
+    Summed over the lags, the offspring of one individual is Poisson with
+    the total decay mass, so the offspring CGF and its slope are those of
+    that single Poisson law.
+    """
 
     decay: DecayLaw
 
     def law(self, k: int) -> Poisson:
         return Poisson(lam=float(self.decay.coefficients(k)[k - 1]))
+
+    def mean_decay(self) -> DecayLaw:
+        return self.decay
 
     def mean_l1(self) -> float:
         return self.decay.total()
@@ -194,6 +258,18 @@ class PoissonOffspring:
 
     def mean_tail(self, after: int) -> float:
         return self.decay.tail(after)
+
+    def cgf(self, x: float) -> float:
+        return Poisson(self.decay.total()).log_mgf(x)
+
+    def cgf_prime(self, x: float) -> float:
+        return Poisson(self.decay.total()).log_mgf_prime(x)
+
+    def domain_sup(self) -> float:
+        return math.inf
+
+    def support_total(self) -> float:
+        return 0.0 if self.decay.total() == 0.0 else math.inf
 
     def to_spec(self) -> dict:
         return {"type": "poisson_family", "decay": self.decay.to_spec()}
@@ -241,23 +317,14 @@ def effective_horizon(m: InarModel, tol: float) -> int:
     """
     if tol <= 0.0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
-    if isinstance(m.offspring, ExplicitOffspring):
-        tail = lambda k: m.offspring.mean_tail(k)
-        hard_cap = len(m.offspring.laws)
-    else:
-        tail = m.offspring.decay.tail
-        hard_cap = None
-        if isinstance(m.offspring.decay, FiniteDecay):
-            hard_cap = len(m.offspring.decay.values)
+    tail = m.offspring.mean_tail
     if tail(0) < tol:
         return 1
     # Exponential search for an upper bracket, then bisect to the smallest K.
+    # A finite lag list has zero tail past its end, which ends the search.
     hi = 1
     while tail(hi) >= tol:
         hi *= 2
-        if hard_cap is not None and hi >= hard_cap:
-            hi = hard_cap
-            break
     lo = hi // 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
@@ -266,6 +333,11 @@ def effective_horizon(m: InarModel, tol: float) -> int:
         else:
             lo = mid
     return hi
+
+
+def history_window(m: InarModel, n: int) -> int:
+    """Lags of history kept at horizon n: the effective horizon, capped by n - 1."""
+    return min(effective_horizon(m, TRUNCATION_TOL), max(n - 1, 1))
 
 
 @dataclass(frozen=True)
@@ -321,34 +393,6 @@ class AssumptionReport:
         }
 
 
-def _sup_poly_times_mean(decay_or_laws, power: float):
-    """sup over k of k**power * E[xi_k], with the witnessing description."""
-    if isinstance(decay_or_laws, GeometricDecay):
-        d = decay_or_laws
-        if d.c == 0.0:
-            return 0.0
-        # maximize k**power * c * r**(k-1) over integer k >= 1
-        k_star = -power / math.log(d.r)
-        best = 0.0
-        for k in {1, max(1, math.floor(k_star)), math.ceil(k_star)}:
-            best = max(best, k**power * d.c * d.r ** (k - 1))
-        return best
-    if isinstance(decay_or_laws, PowerLawDecay):
-        d = decay_or_laws
-        if d.c == 0.0:
-            return 0.0
-        if power > d.a:
-            return math.inf
-        # k**(power - a) is maximized at k = 1 when power <= a
-        return d.c
-    # finite list of means
-    means = decay_or_laws
-    best = 0.0
-    for k, mval in enumerate(means, start=1):
-        best = max(best, k**power * mval)
-    return best
-
-
 def validate(m: InarModel) -> AssumptionReport:
     """Check the standing assumptions, reporting (never raising) violations."""
     mean_l1 = offspring_mean_l1(m)
@@ -362,50 +406,22 @@ def validate(m: InarModel) -> AssumptionReport:
         constants={"mean_l1": mean_l1, "var_l1": var_l1},
     )
 
-    if isinstance(m.offspring, ExplicitOffspring):
-        means = [law.mean() for law in m.offspring.laws]
-        c1 = _sup_poly_times_mean(means, 1.5)
-        b1_holds = True
-        witness_a = 2.0
-        c2 = _sup_poly_times_mean(means, witness_a)
-        b2_holds = True
-        tail_note = "finitely many nonzero lags, tail conditions hold trivially"
-    else:
-        decay = m.offspring.decay
-        if isinstance(decay, FiniteDecay):
-            means = list(decay.values)
-            c1 = _sup_poly_times_mean(means, 1.5)
-            b1_holds = True
-            witness_a = 2.0
-            c2 = _sup_poly_times_mean(means, witness_a)
-            b2_holds = True
-            tail_note = "finitely many nonzero lags, tail conditions hold trivially"
-        elif isinstance(decay, GeometricDecay):
-            c1 = _sup_poly_times_mean(decay, 1.5)
-            b1_holds = True
-            witness_a = 2.0
-            c2 = _sup_poly_times_mean(decay, witness_a)
-            b2_holds = True
-            tail_note = "geometric decay dominates every polynomial"
-        else:
-            b1_holds = decay.a >= 1.5
-            c1 = _sup_poly_times_mean(decay, 1.5) if b1_holds else math.inf
-            b2_holds = decay.a > 1.5
-            witness_a = decay.a if b2_holds else None
-            c2 = decay.c if b2_holds else math.inf
-            tail_note = f"power-law decay with exponent {decay.a}"
+    decay = m.offspring.mean_decay()
+    witness_a, tail_note = decay.tail_witness()
+    b1_holds = witness_a >= 1.5
+    b2_holds = witness_a > 1.5
 
     b1_item = AssumptionItem(
         label="b1",
         holds=b1_holds,
         detail=f"lag means decay at least like k**(-3/2); {tail_note}",
-        constants={"C1": c1} if b1_holds else {},
+        constants={"C1": decay.poly_sup(1.5)} if b1_holds else {},
     )
     b2_item = AssumptionItem(
         label="b2",
         holds=b2_holds,
         detail=f"lag means decay like k**(-a) for some a > 3/2; {tail_note}",
-        constants={"a": witness_a, "C2": c2} if b2_holds else {},
+        constants={"a": witness_a, "C2": decay.poly_sup(witness_a)} if b2_holds else {},
     )
 
     imm_mean = m.immigration.mean()

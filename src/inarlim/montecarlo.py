@@ -27,7 +27,7 @@ from .asymptotics import clt_variance, critical_tilt, limit_cgf, lln_mean, mdp_r
 from .errors import InsufficientTailMass
 from .model import InarModel
 from .recursions import log_mgf_exact
-from .simulate import RandomStream, simulate_batch
+from .simulate import RandomStream, simulate
 
 __all__ = [
     "ValidationReport",
@@ -60,35 +60,16 @@ class ValidationReport:
     runtime_seconds: float
     notes: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "model_fingerprint": self.model_fingerprint,
-            "n": self.n,
-            "reps": self.reps,
-            "seed": self.seed,
-            "statistics": self.statistics,
-            "targets": self.targets,
-            "passed": self.passed,
-            "runtime_seconds": self.runtime_seconds,
-            "notes": self.notes,
-        }
-
-    def summary_row(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "n": self.n,
-            "reps": self.reps,
-            "seed": self.seed,
-            "passed": int(self.passed),
-            "runtime_seconds": round(self.runtime_seconds, 3),
-        }
-
 
 def _batch_sums(m: InarModel, n: int, reps: int, seed: int) -> np.ndarray:
+    """S_n of each replication; replication r uses stream r, as in ``simulate_batch``."""
+    if reps < 1:
+        raise ValueError(f"replication count must be at least 1, got {reps}")
     master = RandomStream(seed=seed)
-    summaries = simulate_batch(m, n, reps, master)
-    return np.array([s.s_n for s in summaries], dtype=np.float64)
+    return np.array(
+        [simulate(m, n, master.with_stream(r)).counts.sum() for r in range(reps)],
+        dtype=np.float64,
+    )
 
 
 def validate_lln(m: InarModel, n: int, reps: int, seed: int, mu_override=None) -> ValidationReport:

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _safe_expm1
 from .errors import ConfigError
 from .model import (
     InarModel,
     PoissonOffspring,
-    TRUNCATION_TOL,
-    effective_horizon,
+    history_window,
     offspring_mean_l1,
     offspring_var_l1,
     require_assumptions,
@@ -46,10 +46,6 @@ __all__ = [
 ]
 
 
-def _window(m: InarModel, n: int) -> int:
-    return min(effective_horizon(m, TRUNCATION_TOL), max(n - 1, 1))
-
-
 @dataclass(frozen=True, eq=False)
 class MgfRecursion:
     """Tilt sequence f_1..f_n and the resulting exact log-MGF of the sum.
@@ -63,13 +59,6 @@ class MgfRecursion:
     log_mgf_total: float
 
 
-def _safe_expm1(t: float) -> float:
-    try:
-        return math.expm1(t)
-    except OverflowError:
-        return math.inf
-
-
 def tilt_recursion(m: InarModel, theta: float, n: int) -> MgfRecursion:
     """Run the tilt recursion for n steps.
 
@@ -78,7 +67,7 @@ def tilt_recursion(m: InarModel, theta: float, n: int) -> MgfRecursion:
     """
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
-    w = _window(m, n)
+    w = history_window(m, n)
     f = np.empty(n, dtype=np.float64)
     f[0] = theta
     diverged_at = None
@@ -158,7 +147,7 @@ def gbar_tables(m: InarModel, n: int) -> GbarTables:
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
     require_assumptions(m, labels=("a",))
-    w = _window(m, n)
+    w = history_window(m, n)
     mean_rev = np.ascontiguousarray(m.offspring.mean_coefficients(w)[::-1])
     var_rev = np.ascontiguousarray(m.offspring.var_coefficients(w)[::-1])
 

@@ -23,8 +23,7 @@ from .errors import FingerprintMismatch
 from .model import (
     InarModel,
     PoissonOffspring,
-    TRUNCATION_TOL,
-    effective_horizon,
+    history_window,
     offspring_mean_l1,
     offspring_var_l1,
 )
@@ -94,13 +93,9 @@ class MartingaleDiagnostic:
     realized_m_squared: float
 
 
-def _sim_window(m: InarModel, n: int) -> int:
-    return min(effective_horizon(m, TRUNCATION_TOL), max(n - 1, 1))
-
-
 def truncated_mean_prefix(m: InarModel, n: int) -> np.ndarray:
     """prefix[t] = sum of the first min(t, window) offspring means, t = 0..n-1."""
-    window = _sim_window(m, n)
+    window = history_window(m, n)
     coeffs = m.offspring.mean_coefficients(window)
     prefix = np.zeros(n, dtype=np.float64)
     upto = min(window, n - 1)
@@ -127,7 +122,7 @@ def simulate(m: InarModel, n: int, stream: RandomStream) -> Trajectory:
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
     gen = stream.generator()
-    window = _sim_window(m, n)
+    window = history_window(m, n)
 
     poisson_family = isinstance(m.offspring, PoissonOffspring)
     if poisson_family:
@@ -198,7 +193,7 @@ def martingale_diagnostic(traj: Trajectory, m: InarModel) -> MartingaleDiagnosti
         )
     counts = traj.counts
     n = len(counts)
-    window = _sim_window(m, n)
+    window = history_window(m, n)
     coeffs = m.offspring.mean_coefficients(window)
     xf = counts.astype(np.float64)
 

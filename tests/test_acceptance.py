@@ -176,6 +176,7 @@ def test_criterion_6_mdp_scaled_mgf_curve():
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_7_clt_empirical():
     start = time.perf_counter()
     reports = [validate_clt(model, n=2000, reps=2000, seed=SEED) for model in (HAWKES, BERNOULLI_AR1)]
@@ -197,6 +198,7 @@ def test_criterion_7_clt_empirical():
     assert elapsed < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_8_lln_empirical():
     start = time.perf_counter()
     reports = [validate_lln(model, n=5000, reps=500, seed=SEED) for model in (HAWKES, BERNOULLI_AR1)]
@@ -210,6 +212,7 @@ def test_criterion_8_lln_empirical():
     assert elapsed < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_9_mdp_empirical_coarse():
     # Known red: at n=1e4, beta=0.6 the tail event (S_n - n mu)/c(n) >= 1 sits
     # only 0.89 standard deviations into the Gaussian bulk, where -log(p) is

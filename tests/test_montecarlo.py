@@ -74,6 +74,7 @@ def test_mdp_parameter_validation(hawkes):
         validate_mdp(hawkes, x=-1.0, beta=0.6, n=1000, reps=None, seed=SEED)
 
 
+@pytest.mark.slow
 def test_mdp_trend_toward_rate(hawkes):
     # the scaled tail statistic creeps down toward the quadratic rate;
     # allow one inversion for noise
