@@ -81,6 +81,15 @@ def test_supercritical_exits_3_naming_assumption(tmp_path, capsys):
     assert "(a)" in capsys.readouterr().err
 
 
+def test_bad_grid_exits_2_before_model_computation(tmp_path, capsys):
+    # the grid is rejected as usage (2) before the supercritical model (3) is examined
+    path = tmp_path / "super.json"
+    path.write_text(json.dumps(SUPERCRITICAL_SPEC))
+    code = main(["theory", "--model", str(path), "--x-grid", "1,abc"])
+    assert code == 2
+    assert "--x-grid" in capsys.readouterr().err
+
+
 def test_simulate_reproducible_files(b1_path, tmp_path, capsys):
     out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
     assert main(["simulate", "--model", b1_path, "--n", "100", "--seed", "7", "--out", str(out1)]) == 0

@@ -58,6 +58,30 @@ def test_log_mgf_domain_sup():
     assert FiniteSupport((0.25, 0.75)).log_mgf_domain_sup() == math.inf
 
 
+BERNOULLI_PS = (0.0, 1e-9, 0.05, 0.3, 0.5, 0.77, 0.999, 1.0)
+GRID_TS = (-30.0, -5.0, -1.0, -1e-3, 0.0, 1e-3, 0.7, 5.0, 30.0, 300.0)
+
+
+def test_bernoulli_is_binomial_with_one_trial_bitwise():
+    for p in BERNOULLI_PS:
+        b, bin1 = Bernoulli(p), Binomial(1, p)
+        assert b.mean() == bin1.mean()
+        assert b.variance() == bin1.variance()
+        assert b.support_max() == bin1.support_max()
+        for t in GRID_TS:
+            assert b.log_mgf(t) == bin1.log_mgf(t), (p, t)
+            assert b.log_mgf_prime(t) == bin1.log_mgf_prime(t), (p, t)
+
+
+def test_bernoulli_pmf_and_draws_pinned():
+    b = Bernoulli(0.3)
+    assert [b.pmf(k) for k in (-1, 0, 1, 2)] == [0.0, 0.7, 0.3, 0.0]
+    assert Bernoulli(0.7).pmf(0) == 0.30000000000000004
+    draws = b.sample(RandomStream(seed=2024).generator(), size=20)
+    assert draws.dtype == np.int64
+    assert draws.tolist() == [0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+
+
 def test_pmf_values():
     assert Bernoulli(0.4).pmf(1) == 0.4
     assert Poisson(1.0).pmf(0) == pytest.approx(math.exp(-1), abs=1e-15)

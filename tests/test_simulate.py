@@ -18,7 +18,7 @@ from inarlim import (
     simulate,
     simulate_batch,
 )
-from inarlim.simulate import truncated_mean_prefix
+from inarlim.model import history_window
 
 
 def test_no_immigration_gives_all_zeros():
@@ -117,7 +117,12 @@ def test_martingale_decomposition_identity(hawkes):
     n = 400
     traj = simulate(hawkes, n, RandomStream(seed=13))
     diag = martingale_diagnostic(traj, hawkes)
-    prefix = truncated_mean_prefix(hawkes, n)
+    # prefix[t] = sum of the first min(t, window) truncated offspring means
+    coeffs = hawkes.offspring.mean_coefficients(history_window(hawkes, n))
+    w = len(coeffs)
+    prefix = np.zeros(n)
+    prefix[1 : w + 1] = np.cumsum(coeffs)
+    prefix[w + 1 :] = prefix[w]
     p_total = prefix[-1]
     x = traj.counts.astype(float)
     remainder = float(
@@ -141,6 +146,17 @@ def test_batch_m_n_matches_diagnostic(bernoulli_ar1):
         traj = simulate(bernoulli_ar1, n, RandomStream(seed=23, stream=r))
         diag = martingale_diagnostic(traj, bernoulli_ar1)
         assert s.m_n == pytest.approx(diag.m_path[-1], abs=1e-9)
+
+
+def test_single_step_batch_and_diagnostic(hawkes):
+    # at n = 1 there is no history: M_1 = X_1 - E[immigration]
+    summaries = simulate_batch(hawkes, 1, 3, RandomStream(seed=5))
+    assert [(s.s_n, s.x_n, s.m_n) for s in summaries] == [(1, 1, 0.0), (0, 0, -1.0), (1, 1, 0.0)]
+    traj = simulate(hawkes, 1, RandomStream(seed=5, stream=1))
+    diag = martingale_diagnostic(traj, hawkes)
+    assert diag.m_path.tolist() == [-1.0]
+    assert diag.second_moment_bound == 2.0
+    assert diag.realized_m_squared == 1.0
 
 
 def test_fingerprint_mismatch_rejected(hawkes, bernoulli_ar1):
