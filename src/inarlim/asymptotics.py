@@ -217,11 +217,13 @@ def _legendre_at_fixed_point(m: InarModel, x: float, f_max: float) -> float:
     maximizer.  When the slope keeps its sign up to the boundary, the
     supremum is the limit there.
     """
-    if x < 0.0:
+    a = m.immigration.support_min()
+    if x < a:
+        # every S_n is at least n a
         return math.inf
-    if x == 0.0:
-        p0 = m.immigration.pmf(0)
-        return math.inf if p0 == 0.0 else -math.log(p0)
+    if x == a:
+        # S_n = n a: every immigration draw is a and none of its n a individuals has offspring
+        return -math.log(m.immigration.pmf(a)) - a * m.offspring.log_no_offspring()
     imm_max = m.immigration.support_max()
     if m.offspring.support_total() < 1.0 and imm_max is not None and x > float(imm_max):
         # no offspring and bounded immigration: means above the max are unreachable

@@ -19,7 +19,7 @@ import math
 import secrets
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .asymptotics import critical_tilt, ldp_rate, mdp_rate, theory_summary
 from .errors import AssumptionViolation, ConfigError, EnumerationError
@@ -29,7 +29,7 @@ from .oracle import enumerate_sum_distribution, oracle_log_mgf
 from .recursions import MdpSchedule, cesaro_check, gbar_tables, log_mgf_exact, mdp_mgf_curve, tilt_recursion
 from .simulate import RandomStream, simulate, simulate_batch
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -41,30 +41,11 @@ ORACLE_TOL = 1e-10
 CESARO_REL_TOL = 0.01
 
 
-@dataclass
-class RunConfig:
-    """Parsed command parameters plus the model they apply to."""
-
-    model: InarModel
-    n: int | None = None
-    reps: int | None = None
-    seed: int | None = None
-    beta: float | None = None
-    theta: float | None = None
-    x: float | None = None
-    x_grid: tuple = ()
-    theta_grid: tuple = ()
-    horizons: tuple = ()
-    checks: tuple = ()
-    what: str | None = None
-    out: str | None = None
-    fmt: str = "json"
-
-    def resolved_seed(self) -> tuple:
-        """(seed, drawn) where drawn marks a seed taken from system entropy."""
-        if self.seed is not None:
-            return self.seed, False
-        return secrets.randbits(63), True
+def _seed(args: argparse.Namespace) -> tuple:
+    """(seed, drawn) where drawn marks a seed taken from system entropy."""
+    if args.seed is not None:
+        return args.seed, False
+    return secrets.randbits(63), True
 
 
 def _jsonable(obj):
@@ -117,6 +98,15 @@ def _parse_ints(text: str, flag: str) -> tuple:
     return tuple(out)
 
 
+# Comma-list flags: destination -> parser.  main parses them before any model computation.
+_LIST_FLAGS = {
+    "x_grid": _parse_floats,
+    "theta_grid": _parse_floats,
+    "horizons": _parse_ints,
+    "checks": lambda text, flag: tuple(c.strip() for c in text.split(",") if c.strip()),
+}
+
+
 def _csv_text(header: list, rows: list) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -125,10 +115,10 @@ def _csv_text(header: list, rows: list) -> str:
     return buf.getvalue()
 
 
-def cmd_theory(cfg: RunConfig) -> int:
-    summary = theory_summary(cfg.model)
-    if cfg.x_grid:
-        x_grid = cfg.x_grid
+def cmd_theory(args: argparse.Namespace) -> int:
+    summary = theory_summary(args.model)
+    if args.x_grid:
+        x_grid = args.x_grid
     else:
         mu = summary.mu
         base = mu if mu > 0 else 1.0
@@ -140,50 +130,50 @@ def cmd_theory(cfg: RunConfig) -> int:
         "theta_c_attained": summary.theta_c_attained,
         "offspring_mean_l1": summary.offspring_mean_l1,
         "offspring_var_l1": summary.offspring_var_l1,
-        "I": [{"x": x, "value": ldp_rate(cfg.model, x)} for x in x_grid],
-        "J": [{"x": x, "value": mdp_rate(cfg.model, x)} for x in x_grid],
+        "I": [{"x": x, "value": ldp_rate(args.model, x)} for x in x_grid],
+        "J": [{"x": x, "value": mdp_rate(args.model, x)} for x in x_grid],
     }
-    _write_text(cfg.out, json.dumps(_jsonable(payload), indent=2) + "\n")
+    _write_text(args.out, json.dumps(_jsonable(payload), indent=2) + "\n")
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    require_assumptions(cfg.model, labels=("a", "c"))
-    if cfg.n is None:
+def cmd_simulate(args: argparse.Namespace) -> int:
+    require_assumptions(args.model, labels=("a", "c"))
+    if args.n is None:
         raise ConfigError("simulate requires --n")
-    seed, drawn = cfg.resolved_seed()
-    if cfg.reps is None:
-        traj = simulate(cfg.model, cfg.n, RandomStream(seed=seed))
+    seed, drawn = _seed(args)
+    if args.reps is None:
+        traj = simulate(args.model, args.n, RandomStream(seed=seed))
         rows = [(t + 1, int(x)) for t, x in enumerate(traj.counts)]
         text = _csv_text(["t", "x"], rows)
     else:
-        summaries = simulate_batch(cfg.model, cfg.n, cfg.reps, RandomStream(seed=seed))
+        summaries = simulate_batch(args.model, args.n, args.reps, RandomStream(seed=seed))
         rows = [(s.rep, s.s_n, s.x_n, repr(s.m_n)) for s in summaries]
         text = _csv_text(["rep", "s_n", "x_n", "m_n"], rows)
-    _write_text(cfg.out, text)
+    _write_text(args.out, text)
     origin = "drawn from system entropy" if drawn else "from --seed"
     print(f"seed: {seed} ({origin})", file=sys.stderr)
     return EXIT_OK
 
 
-def _check_gamma(cfg: RunConfig, seed: int) -> ValidationReport:
-    if cfg.theta_grid:
-        grid = cfg.theta_grid
+def _check_gamma(args: argparse.Namespace, seed: int) -> ValidationReport:
+    if args.theta_grid:
+        grid = args.theta_grid
     else:
-        tc, _ = critical_tilt(cfg.model)
+        tc, _ = critical_tilt(args.model)
         grid = tuple(0.5 * tc * frac for frac in (0.2, 0.5, 1.0))
-    return validate_gamma(cfg.model, grid, cfg.n or 1000, cfg.reps or 2000, seed)
+    return validate_gamma(args.model, grid, args.n or 1000, args.reps or 2000, seed)
 
 
-def _check_cesaro(cfg: RunConfig, seed: int) -> ValidationReport:
+def _check_cesaro(args: argparse.Namespace, seed: int) -> ValidationReport:
     """Deterministic: Cesaro means of the expansion tables against their limits."""
     start = time.perf_counter()
-    n = cfg.n or 100_000
-    chk = cesaro_check(cfg.model, n)
+    n = args.n or 100_000
+    chk = cesaro_check(args.model, n)
     rel = [abs(e - l) / abs(l) if l != 0.0 else abs(e) for e, l in chk.pairs()]
     return ValidationReport(
         theorem="cesaro",
-        model_fingerprint=cfg.model.fingerprint(),
+        model_fingerprint=args.model.fingerprint(),
         n=n,
         reps=0,
         seed=0,
@@ -204,26 +194,26 @@ def _check_cesaro(cfg: RunConfig, seed: int) -> ValidationReport:
     )
 
 
-def _check_oracle(cfg: RunConfig, seed: int) -> ValidationReport:
+def _check_oracle(args: argparse.Namespace, seed: int) -> ValidationReport:
     """Deterministic: the tilt recursion against the oracle DP for every n up to --n."""
     start = time.perf_counter()
-    n_max = cfg.n or 4
+    n_max = args.n or 4
     points = []
     worst = 0.0
     for n in range(1, n_max + 1):
         for theta in ORACLE_THETA_GRID:
-            a = oracle_log_mgf(cfg.model, theta, n)
-            b = log_mgf_exact(cfg.model, theta, n)
+            a = oracle_log_mgf(args.model, theta, n)
+            b = log_mgf_exact(args.model, theta, n)
             gap = abs(a - b)
             worst = max(worst, gap)
             points.append({"n": n, "theta": theta, "gap": gap})
-    if cfg.out is not None:
-        law = enumerate_sum_distribution(cfg.model, n_max)
+    if args.out is not None:
+        law = enumerate_sum_distribution(args.model, n_max)
         rows = sorted(law.probs.items())
-        _write_text(f"{cfg.out}.oracle_law.csv", _csv_text(["s", "prob"], rows))
+        _write_text(f"{args.out}.oracle_law.csv", _csv_text(["s", "prob"], rows))
     return ValidationReport(
         theorem="oracle",
-        model_fingerprint=cfg.model.fingerprint(),
+        model_fingerprint=args.model.fingerprint(),
         n=n_max,
         reps=0,
         seed=0,
@@ -234,16 +224,16 @@ def _check_oracle(cfg: RunConfig, seed: int) -> ValidationReport:
     )
 
 
-# Check name -> (config, seed) -> report.  The deterministic checks ignore the seed.
+# Check name -> (arguments, seed) -> report.  The deterministic checks ignore the seed.
 CHECKS = {
-    "lln": lambda cfg, seed: validate_lln(cfg.model, cfg.n or 5000, cfg.reps or 500, seed),
-    "clt": lambda cfg, seed: validate_clt(cfg.model, cfg.n or 2000, cfg.reps or 2000, seed),
-    "mdp": lambda cfg, seed: validate_mdp(
-        cfg.model,
-        x=cfg.x if cfg.x is not None else 1.0,
-        beta=cfg.beta if cfg.beta is not None else 0.6,
-        n=cfg.n or 10_000,
-        reps=cfg.reps,
+    "lln": lambda args, seed: validate_lln(args.model, args.n or 5000, args.reps or 500, seed),
+    "clt": lambda args, seed: validate_clt(args.model, args.n or 2000, args.reps or 2000, seed),
+    "mdp": lambda args, seed: validate_mdp(
+        args.model,
+        x=args.x if args.x is not None else 1.0,
+        beta=args.beta if args.beta is not None else 0.6,
+        n=args.n or 10_000,
+        reps=args.reps,
         seed=seed,
     ),
     "gamma": _check_gamma,
@@ -252,26 +242,26 @@ CHECKS = {
 }
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    require_assumptions(cfg.model, labels=("a", "c"))
-    checks = cfg.checks or ("lln",)
+def cmd_validate(args: argparse.Namespace) -> int:
+    require_assumptions(args.model, labels=("a", "c"))
+    checks = args.checks or ("lln",)
     for name in checks:
         if name not in CHECKS:
             raise ConfigError(f"unknown check {name!r}; choose from {', '.join(CHECKS)}")
-    seed, drawn = cfg.resolved_seed()
+    seed, drawn = _seed(args)
     if drawn:
         print(f"seed: {seed} (drawn from system entropy)", file=sys.stderr)
 
-    reports = [CHECKS[name](cfg, seed) for name in checks]
+    reports = [CHECKS[name](args, seed) for name in checks]
     payloads = [_jsonable(asdict(rep)) for rep in reports]
-    if cfg.out is not None:
+    if args.out is not None:
         for rep, payload in zip(reports, payloads):
-            _write_text(f"{cfg.out}.{rep.theorem}.json", json.dumps(payload, indent=2) + "\n")
+            _write_text(f"{args.out}.{rep.theorem}.json", json.dumps(payload, indent=2) + "\n")
     summary_rows = [(rep.theorem, rep.n, rep.reps, rep.seed, int(rep.passed)) for rep in reports]
     summary_csv = _csv_text(["theorem", "n", "reps", "seed", "passed"], summary_rows)
-    if cfg.out is not None:
-        _write_text(f"{cfg.out}.summary.csv", summary_csv)
-    if cfg.fmt == "csv":
+    if args.out is not None:
+        _write_text(f"{args.out}.summary.csv", summary_csv)
+    if args.fmt == "csv":
         sys.stdout.write(summary_csv)
     else:
         sys.stdout.write(json.dumps(payloads, indent=2) + "\n")
@@ -280,32 +270,29 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK if all(rep.passed for rep in reports) else EXIT_VALIDATION_FAILED
 
 
-def cmd_recursion(cfg: RunConfig) -> int:
-    require_assumptions(cfg.model, labels=("a", "c"))
-    what = cfg.what or "tilt"
-    theta = cfg.theta if cfg.theta is not None else 0.1
-    if what == "tilt":
-        rec = tilt_recursion(cfg.model, theta, cfg.n or 1000)
+def cmd_recursion(args: argparse.Namespace) -> int:
+    require_assumptions(args.model, labels=("a", "c"))
+    theta = args.theta if args.theta is not None else 0.1
+    if args.what == "tilt":
+        rec = tilt_recursion(args.model, theta, args.n or 1000)
         rows = [(k + 1, repr(float(v))) for k, v in enumerate(rec.values)]
         text = _csv_text(["k", "f"], rows)
-    elif what == "gbar":
-        tables = gbar_tables(cfg.model, cfg.n or 1000)
+    elif args.what == "gbar":
+        tables = gbar_tables(args.model, args.n or 1000)
         rows = [
             (k + 1, repr(float(g1)), repr(float(g2)))
             for k, (g1, g2) in enumerate(zip(tables.g1, tables.g2))
         ]
         text = _csv_text(["k", "g1", "g2"], rows)
-    elif what == "mdp-curve":
+    else:
         sched = MdpSchedule(
-            beta=cfg.beta if cfg.beta is not None else 0.75,
-            horizons=cfg.horizons or (10_000, 100_000),
+            beta=args.beta if args.beta is not None else 0.75,
+            horizons=args.horizons or (10_000, 100_000),
         )
-        points = mdp_mgf_curve(cfg.model, theta, sched)
+        points = mdp_mgf_curve(args.model, theta, sched)
         rows = [(p.n, repr(p.value), repr(p.limit)) for p in points]
         text = _csv_text(["n", "value", "limit"], rows)
-    else:
-        raise ConfigError(f"unknown recursion table {what!r}; choose tilt, gbar or mdp-curve")
-    _write_text(cfg.out, text)
+    _write_text(args.out, text)
     return EXIT_OK
 
 
@@ -317,7 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("--model", required=True, help="path to a JSON model spec")
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--reps", type=int, default=None)
@@ -325,14 +313,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_theory = sub.add_parser("theory", help="asymptotic constants and rate-function grids")
-    add_common(p_theory)
+    add_common(p_theory, cmd_theory)
     p_theory.add_argument("--x-grid", default=None, help="comma-separated grid for the rates")
 
     p_sim = sub.add_parser("simulate", help="one trajectory or a batch of replications")
-    add_common(p_sim)
+    add_common(p_sim, cmd_simulate)
 
     p_val = sub.add_parser("validate", help="empirical and deterministic theorem checks")
-    add_common(p_val)
+    add_common(p_val, cmd_validate)
     p_val.add_argument("--checks", default="lln", help=f"comma list from {','.join(CHECKS)}")
     p_val.add_argument("--beta", type=float, default=None)
     p_val.add_argument("--x", type=float, default=None)
@@ -340,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
 
     p_rec = sub.add_parser("recursion", help="dump tilt / expansion / scaled-MGF tables")
-    add_common(p_rec)
+    add_common(p_rec, cmd_recursion)
     p_rec.add_argument("--what", choices=("tilt", "gbar", "mdp-curve"), default="tilt")
     p_rec.add_argument("--theta", type=float, default=None)
     p_rec.add_argument("--beta", type=float, default=None)
@@ -349,45 +337,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    model = _load_model(args.model)
-    cfg = RunConfig(
-        model=model,
-        n=args.n,
-        reps=args.reps,
-        seed=args.seed,
-        out=args.out,
-    )
-    if getattr(args, "x_grid", None):
-        cfg.x_grid = _parse_floats(args.x_grid, "--x-grid")
-    if getattr(args, "theta_grid", None):
-        cfg.theta_grid = _parse_floats(args.theta_grid, "--theta-grid")
-    if getattr(args, "horizons", None):
-        cfg.horizons = _parse_ints(args.horizons, "--horizons")
-    if getattr(args, "checks", None):
-        cfg.checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-    cfg.beta = getattr(args, "beta", None)
-    cfg.x = getattr(args, "x", None)
-    cfg.theta = getattr(args, "theta", None)
-    cfg.what = getattr(args, "what", None)
-    cfg.fmt = getattr(args, "fmt", "json")
-    return cfg
-
-
-_DISPATCH = {
-    "theory": cmd_theory,
-    "simulate": cmd_simulate,
-    "validate": cmd_validate,
-    "recursion": cmd_recursion,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[args.command](cfg)
+        # the commands read the namespace, with --model replaced by the model it names
+        args.model = _load_model(args.model)
+        for dest, parse in _LIST_FLAGS.items():
+            text = getattr(args, dest, None)
+            if text is not None:
+                setattr(args, dest, parse(text, "--" + dest.replace("_", "-")))
+        return args.run(args)
     except (ConfigError, EnumerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,7 +10,7 @@ without exception control flow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
@@ -51,7 +51,7 @@ def _check_prob(p: float, name: str = "p") -> None:
 
 
 class CountDistribution:
-    """Base class with shared sampling behavior.
+    """Base class: shared sampling, plus defaults for the support and log-MGF domain.
 
     ``sample`` draws from the distribution, mutating only the generator
     argument; everything else is pure.  ``sample_sum`` draws the sum of
@@ -64,9 +64,17 @@ class CountDistribution:
             return 0
         return int(self.sample(rng, size=count).sum())
 
+    def support_min(self) -> int:
+        """Smallest attainable value."""
+        return 0
+
     def support_max(self) -> int | None:
         """Largest attainable value, or None when the support is unbounded."""
         return None
+
+    def log_mgf_domain_sup(self) -> float:
+        """Supremum of the tilts where the log-MGF is finite."""
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -93,11 +101,11 @@ class Constant(CountDistribution):
     def log_mgf_prime(self, t: float) -> float:
         return float(self.value)
 
-    def log_mgf_domain_sup(self) -> float:
-        return math.inf
-
     def pmf(self, k: int) -> float:
         return 1.0 if k == self.value else 0.0
+
+    def support_min(self) -> int:
+        return int(self.value)
 
     def support_max(self) -> int:
         return int(self.value)
@@ -112,55 +120,6 @@ class Constant(CountDistribution):
 
     def to_spec(self) -> dict:
         return {"type": "constant", "value": int(self.value)}
-
-
-@dataclass(frozen=True)
-class Bernoulli(CountDistribution):
-    """Bernoulli(p) on {0, 1}."""
-
-    p: float
-
-    def __post_init__(self):
-        _check_prob(self.p)
-
-    def mean(self) -> float:
-        return self.p
-
-    def variance(self) -> float:
-        return self.p * (1.0 - self.p)
-
-    def log_mgf(self, t: float) -> float:
-        # log(1 - p + p e^t), written to stay stable for large |t|
-        if t <= 0.0:
-            return math.log1p(self.p * math.expm1(t))
-        return t + math.log(self.p + (1.0 - self.p) * math.exp(-t))
-
-    def log_mgf_prime(self, t: float) -> float:
-        if t <= 0.0:
-            et = math.exp(t)
-            return self.p * et / (1.0 - self.p + self.p * et)
-        return self.p / (self.p + (1.0 - self.p) * math.exp(-t))
-
-    def log_mgf_domain_sup(self) -> float:
-        return math.inf
-
-    def pmf(self, k: int) -> float:
-        if k == 0:
-            return 1.0 - self.p
-        if k == 1:
-            return self.p
-        return 0.0
-
-    def support_max(self) -> int:
-        return 1 if self.p > 0 else 0
-
-    def sample(self, rng, size=None):
-        if size is None:
-            return int(rng.random() < self.p)
-        return (rng.random(size) < self.p).astype(np.int64)
-
-    def to_spec(self) -> dict:
-        return {"type": "bernoulli", "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -182,18 +141,21 @@ class Binomial(CountDistribution):
         return self.m * self.p * (1.0 - self.p)
 
     def log_mgf(self, t: float) -> float:
+        # log(1 - p + p e^t) per trial, written to stay stable for large |t|;
+        # p = 1 is the point mass at m, where log1p(-1) would fail
+        if self.p == 1.0:
+            return self.m * t
         if t <= 0.0:
             return self.m * math.log1p(self.p * math.expm1(t))
         return self.m * (t + math.log(self.p + (1.0 - self.p) * math.exp(-t)))
 
     def log_mgf_prime(self, t: float) -> float:
+        if self.p == 1.0:
+            return float(self.m)
         if t <= 0.0:
             et = math.exp(t)
             return self.m * self.p * et / (1.0 - self.p + self.p * et)
         return self.m * self.p / (self.p + (1.0 - self.p) * math.exp(-t))
-
-    def log_mgf_domain_sup(self) -> float:
-        return math.inf
 
     def pmf(self, k: int) -> float:
         if k < 0 or k > self.m:
@@ -205,6 +167,9 @@ class Binomial(CountDistribution):
             return 1.0 if k == self.m else 0.0
         return math.exp(logc + k * math.log(self.p) + (self.m - k) * math.log1p(-self.p))
 
+    def support_min(self) -> int:
+        return int(self.m) if self.p == 1.0 else 0
+
     def support_max(self) -> int:
         return int(self.m) if self.p > 0 else 0
 
@@ -215,6 +180,28 @@ class Binomial(CountDistribution):
 
     def to_spec(self) -> dict:
         return {"type": "binomial", "m": int(self.m), "p": self.p}
+
+
+@dataclass(frozen=True)
+class Bernoulli(Binomial):
+    """Bernoulli(p) on {0, 1}: Binomial(1, p), with its own pmf, sampler and spec."""
+
+    m: int = field(default=1, init=False, repr=False)
+
+    def pmf(self, k: int) -> float:
+        if k == 0:
+            return 1.0 - self.p
+        if k == 1:
+            return self.p
+        return 0.0
+
+    def sample(self, rng, size=None):
+        if size is None:
+            return int(rng.random() < self.p)
+        return (rng.random(size) < self.p).astype(np.int64)
+
+    def to_spec(self) -> dict:
+        return {"type": "bernoulli", "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -242,9 +229,6 @@ class Poisson(CountDistribution):
         if self.lam == 0.0:
             return 0.0
         return self.lam * _safe_exp(t)
-
-    def log_mgf_domain_sup(self) -> float:
-        return math.inf
 
     def pmf(self, k: int) -> float:
         if k < 0:
@@ -373,13 +357,13 @@ class FiniteSupport(CountDistribution):
         w = np.exp(w)
         return float(np.dot(v, w) / w.sum())
 
-    def log_mgf_domain_sup(self) -> float:
-        return math.inf
-
     def pmf(self, k: int) -> float:
         if 0 <= k < len(self.probs):
             return self.probs[k]
         return 0.0
+
+    def support_min(self) -> int:
+        return next(k for k, q in enumerate(self.probs) if q > 0.0)
 
     def support_max(self) -> int:
         nonzero = [k for k, q in enumerate(self.probs) if q > 0.0]
@@ -397,14 +381,31 @@ class FiniteSupport(CountDistribution):
         return {"type": "finite_support", "probs": list(self.probs)}
 
 
-_SPEC_FIELDS = {
-    "constant": ("value",),
-    "bernoulli": ("p",),
-    "binomial": ("m", "p"),
-    "poisson": ("lambda",),
-    "geometric": ("p",),
-    "finite_support": ("probs",),
+# Spec type -> (class, spec key -> constructor argument)
+_SPEC_TYPES = {
+    "constant": (Constant, {"value": "value"}),
+    "bernoulli": (Bernoulli, {"p": "p"}),
+    "binomial": (Binomial, {"m": "m", "p": "p"}),
+    "poisson": (Poisson, {"lambda": "lam"}),
+    "geometric": (Geometric, {"p": "p"}),
+    "finite_support": (FiniteSupport, {"probs": "probs"}),
 }
+_LIST_KEYS = {"laws": "a list", "probs": "a list of numbers", "values": "a list of numbers"}
+
+
+def spec_value(obj: dict, key: str):
+    """obj[key], checked to be a JSON number, or a list for the keys in _LIST_KEYS."""
+    val = obj[key]
+    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    if key == "laws":
+        ok = isinstance(val, list)
+    elif key in _LIST_KEYS:
+        ok = isinstance(val, list) and all(map(number, val))
+    else:
+        ok = number(val)
+    if not ok:
+        raise ConfigError(f"{key} must be {_LIST_KEYS.get(key, 'a number')}, got {val!r}")
+    return val
 
 
 def dist_from_spec(obj) -> CountDistribution:
@@ -412,9 +413,10 @@ def dist_from_spec(obj) -> CountDistribution:
     if not isinstance(obj, dict):
         raise ConfigError(f"distribution spec must be an object, got {type(obj).__name__}")
     kind = obj.get("type")
-    if kind not in _SPEC_FIELDS:
+    if kind not in _SPEC_TYPES:
         raise ConfigError(f"unknown distribution type {kind!r}")
-    expected = set(_SPEC_FIELDS[kind]) | {"type"}
+    cls, args = _SPEC_TYPES[kind]
+    expected = set(args) | {"type"}
     actual = set(obj)
     if actual != expected:
         unknown = sorted(actual - expected)
@@ -425,14 +427,4 @@ def dist_from_spec(obj) -> CountDistribution:
         if missing:
             parts.append(f"missing keys {missing}")
         raise ConfigError(f"bad {kind} spec: " + ", ".join(parts))
-    if kind == "constant":
-        return Constant(value=obj["value"])
-    if kind == "bernoulli":
-        return Bernoulli(p=obj["p"])
-    if kind == "binomial":
-        return Binomial(m=obj["m"], p=obj["p"])
-    if kind == "poisson":
-        return Poisson(lam=obj["lambda"])
-    if kind == "geometric":
-        return Geometric(p=obj["p"])
-    return FiniteSupport(probs=tuple(obj["probs"]))
+    return cls(**{arg: spec_value(obj, key) for key, arg in args.items()})

@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 from scipy.special import zeta
 
-from .distributions import CountDistribution, Poisson, dist_from_spec
+from .distributions import CountDistribution, Poisson, dist_from_spec, spec_value
 from .errors import AssumptionViolation, ConfigError
 
 __all__ = [
@@ -222,6 +222,10 @@ class ExplicitOffspring:
         maxima = [law.support_max() for law in self.laws]
         return math.inf if None in maxima else float(sum(maxima))
 
+    def log_no_offspring(self) -> float:
+        """log P(one individual has no offspring at any lag)."""
+        return math.fsum(math.log(law.pmf(0)) for law in self.laws)
+
     def to_spec(self) -> dict:
         return {"type": "explicit", "laws": [law.to_spec() for law in self.laws]}
 
@@ -270,6 +274,9 @@ class PoissonOffspring:
 
     def support_total(self) -> float:
         return 0.0 if self.decay.total() == 0.0 else math.inf
+
+    def log_no_offspring(self) -> float:
+        return -self.decay.total()
 
     def to_spec(self) -> dict:
         return {"type": "poisson_family", "decay": self.decay.to_spec()}
@@ -446,16 +453,15 @@ def require_assumptions(m: InarModel, labels=("a", "c")) -> AssumptionReport:
         it = report.item(label)
         if not it.holds:
             extras = ", ".join(f"{k}={v}" for k, v in it.constants.items())
-            if label == "a":
-                extras = f"mean_l1={report.mean_l1}, var_l1={report.var_l1}"
             raise AssumptionViolation(label, it.detail + (f" [{extras}]" if extras else ""))
     return report
 
 
-_DECAY_FIELDS = {
-    "geometric": ("c", "r"),
-    "power_law": ("c", "a"),
-    "finite_list": ("values",),
+# Decay type -> (class, spec keys, which are also the constructor arguments)
+_DECAY_TYPES = {
+    "geometric": (GeometricDecay, ("c", "r")),
+    "power_law": (PowerLawDecay, ("c", "a")),
+    "finite_list": (FiniteDecay, ("values",)),
 }
 
 
@@ -463,16 +469,13 @@ def _decay_from_spec(obj) -> DecayLaw:
     if not isinstance(obj, dict):
         raise ConfigError(f"decay spec must be an object, got {type(obj).__name__}")
     kind = obj.get("type")
-    if kind not in _DECAY_FIELDS:
+    if kind not in _DECAY_TYPES:
         raise ConfigError(f"unknown decay type {kind!r}")
-    expected = set(_DECAY_FIELDS[kind]) | {"type"}
+    cls, keys = _DECAY_TYPES[kind]
+    expected = set(keys) | {"type"}
     if set(obj) != expected:
         raise ConfigError(f"bad {kind} decay spec: keys {sorted(obj)} != {sorted(expected)}")
-    if kind == "geometric":
-        return GeometricDecay(c=obj["c"], r=obj["r"])
-    if kind == "power_law":
-        return PowerLawDecay(c=obj["c"], a=obj["a"])
-    return FiniteDecay(values=tuple(obj["values"]))
+    return cls(**{key: spec_value(obj, key) for key in keys})
 
 
 def model_from_spec(obj) -> InarModel:
@@ -490,7 +493,7 @@ def model_from_spec(obj) -> InarModel:
     if off["type"] == "explicit":
         if set(off) != {"type", "laws"}:
             raise ConfigError(f"bad explicit offspring spec: keys {sorted(off)}")
-        laws = tuple(dist_from_spec(o) for o in off["laws"])
+        laws = tuple(dist_from_spec(o) for o in spec_value(off, "laws"))
         offspring = ExplicitOffspring(laws=laws)
     elif off["type"] == "poisson_family":
         if set(off) != {"type", "decay"}:

@@ -108,14 +108,9 @@ def tilt_recursion(m: InarModel, theta: float, n: int) -> MgfRecursion:
             theta=theta, values=f[:diverged_at].copy(), log_mgf_total=math.inf
         )
 
-    imm_log_mgf = m.immigration.log_mgf
-    terms = []
-    for k in range(n):
-        term = imm_log_mgf(float(f[k]))
-        if term == math.inf:
-            return MgfRecursion(theta=theta, values=f, log_mgf_total=math.inf)
-        terms.append(term)
-    return MgfRecursion(theta=theta, values=f, log_mgf_total=math.fsum(terms))
+    # fsum is +inf as soon as one immigration term is
+    total = math.fsum(map(m.immigration.log_mgf, f))
+    return MgfRecursion(theta=theta, values=f, log_mgf_total=total)
 
 
 def log_mgf_exact(m: InarModel, theta: float, n: int) -> float:

@@ -47,11 +47,6 @@ class RandomStream:
 
     seed: int
     stream: int = 0
-    algorithm: str = "pcg64"
-
-    def __post_init__(self):
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unknown stream algorithm {self.algorithm!r}")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
@@ -93,18 +88,6 @@ class MartingaleDiagnostic:
     realized_m_squared: float
 
 
-def truncated_mean_prefix(m: InarModel, n: int) -> np.ndarray:
-    """prefix[t] = sum of the first min(t, window) offspring means, t = 0..n-1."""
-    window = history_window(m, n)
-    coeffs = m.offspring.mean_coefficients(window)
-    prefix = np.zeros(n, dtype=np.float64)
-    upto = min(window, n - 1)
-    prefix[1 : upto + 1] = np.cumsum(coeffs[:upto])
-    if n - 1 > window:
-        prefix[window + 1 :] = prefix[window]
-    return prefix
-
-
 def simulate(m: InarModel, n: int, stream: RandomStream) -> Trajectory:
     """Simulate counts X_1..X_n from empty history.
 
@@ -129,6 +112,7 @@ def simulate(m: InarModel, n: int, stream: RandomStream) -> Trajectory:
         alpha_rev = np.ascontiguousarray(m.offspring.decay.coefficients(window)[::-1])
     else:
         laws = m.offspring.laws[:window]
+        window = len(laws)  # below the history window only for an empty lag list
 
     imm = m.immigration
     x = np.zeros(n, dtype=np.int64)
@@ -153,15 +137,6 @@ def simulate(m: InarModel, n: int, stream: RandomStream) -> Trajectory:
     return Trajectory(counts=x, stream=stream, model_fingerprint=m.fingerprint())
 
 
-def _batch_martingale_terminal(m: InarModel, counts: np.ndarray, prefix: np.ndarray) -> float:
-    n = len(counts)
-    s_n = float(counts.sum())
-    # M_n = S_n - n E[eps] - sum_j X_j * prefix(n - j)
-    weights = prefix[1:][::-1]  # prefix(n-1), ..., prefix(1)
-    conv = float(np.dot(counts[: n - 1].astype(np.float64), weights)) if n > 1 else 0.0
-    return s_n - n * m.immigration.mean() - conv
-
-
 def simulate_batch(m: InarModel, n: int, reps: int, master: RandomStream) -> list:
     """Independent replications; replication r uses stream index r.
 
@@ -170,11 +145,10 @@ def simulate_batch(m: InarModel, n: int, reps: int, master: RandomStream) -> lis
     """
     if reps < 1:
         raise ValueError(f"replication count must be at least 1, got {reps}")
-    prefix = truncated_mean_prefix(m, n)
     out = []
     for r in range(reps):
         traj = simulate(m, n, master.with_stream(r))
-        m_n = _batch_martingale_terminal(m, traj.counts, prefix)
+        m_n = float(martingale_diagnostic(traj, m).m_path[-1])
         out.append(
             BatchSummary(rep=r, s_n=int(traj.counts.sum()), x_n=int(traj.counts[-1]), m_n=m_n)
         )
@@ -191,16 +165,13 @@ def martingale_diagnostic(traj: Trajectory, m: InarModel) -> MartingaleDiagnosti
         raise FingerprintMismatch(
             f"trajectory fingerprint {traj.model_fingerprint} does not match model {m.fingerprint()}"
         )
-    counts = traj.counts
-    n = len(counts)
-    window = history_window(m, n)
-    coeffs = m.offspring.mean_coefficients(window)
-    xf = counts.astype(np.float64)
+    xf = traj.counts.astype(np.float64)
+    n = len(xf)
+    coeffs = m.offspring.mean_coefficients(history_window(m, n))
 
+    # E[X_t | past] = E[eps] + sum_k coeffs[k-1] X_{t-k}: one full convolution
     cond = np.full(n, m.immigration.mean(), dtype=np.float64)
-    for k in range(1, min(window, n - 1) + 1):
-        if coeffs[k - 1] != 0.0:
-            cond[k:] += coeffs[k - 1] * xf[: n - k]
+    cond[1:] += np.convolve(xf, coeffs)[: n - 1]
     m_path = np.cumsum(xf - cond)
 
     mean_l1 = offspring_mean_l1(m)

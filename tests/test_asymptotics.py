@@ -9,8 +9,11 @@ from inarlim import (
     Binomial,
     Constant,
     ExplicitOffspring,
+    FiniteSupport,
+    GeometricDecay,
     InarModel,
     Poisson,
+    PoissonOffspring,
     clt_variance,
     critical_tilt,
     inar1_ldp_rate,
@@ -137,6 +140,32 @@ def test_ldp_rate_edges(hawkes, pure_immigration):
     bounded = InarModel(Bernoulli(0.25), ExplicitOffspring(()))
     assert ldp_rate(bounded, 1.5) == math.inf
     assert ldp_rate(bounded, 1.0) == pytest.approx(-math.log(0.25), abs=1e-9)
+
+
+def test_ldp_rate_at_and_below_the_smallest_immigration():
+    # S_n >= n a, and S_n = n a needs eps = a at every step and no offspring at all:
+    # the rate there is -log P(eps = a) - a sum_k log P(xi_k = 0)
+    three_point = FiniteSupport((0.0, 0.5, 0.5))
+    ar1 = InarModel(three_point, ExplicitOffspring((Bernoulli(0.3),)))
+    hawkes_one = InarModel(Constant(1), PoissonOffspring(GeometricDecay(0.2, 0.5)))
+    assert ldp_rate(ar1, 1.0) == pytest.approx(-math.log(0.5) - math.log(0.7), abs=1e-12)
+    assert ldp_rate(hawkes_one, 1.0) == pytest.approx(0.4, abs=1e-12)
+    assert inar1_ldp_rate(three_point, Bernoulli(0.3), 1.0) == ldp_rate(ar1, 1.0)
+    assert inar1_ldp_rate(Constant(1), Poisson(0.4), 1.0) == pytest.approx(0.4, abs=1e-12)
+    for x in (0.5, 0.999, 0.0, -1.0):
+        assert ldp_rate(ar1, x) == math.inf
+        assert ldp_rate(hawkes_one, x) == math.inf
+        assert inar1_ldp_rate(three_point, Bernoulli(0.3), x) == math.inf
+    assert ldp_rate(InarModel(Constant(1), ExplicitOffspring(())), 0.5) == math.inf
+    # just above a the solve approaches the closed form from below
+    assert ldp_rate(ar1, 1.0) - 2e-3 < ldp_rate(ar1, 1.0001) < ldp_rate(ar1, 1.0)
+
+
+def test_ldp_rate_with_point_mass_binomial_immigration():
+    m = InarModel(Binomial(2, 1.0), PoissonOffspring(GeometricDecay(0.2, 0.5)))
+    assert ldp_rate(m, 2.0) == pytest.approx(0.8, abs=1e-12)
+    assert ldp_rate(m, 1.5) == math.inf
+    assert 0.0 < ldp_rate(m, 2.5) < ldp_rate(m, 2.0)
 
 
 def test_ldp_rate_positive_away_from_mean(hawkes, bernoulli_ar1):

@@ -90,6 +90,36 @@ def test_bad_grid_exits_2_before_model_computation(tmp_path, capsys):
     assert "--x-grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "immigration, decay",
+    [
+        ({"type": "bernoulli", "p": "0.5"}, {"type": "geometric", "c": 0.25, "r": 0.5}),
+        ({"type": "poisson", "lambda": None}, {"type": "geometric", "c": 0.25, "r": 0.5}),
+        ({"type": "binomial", "m": True, "p": 0.5}, {"type": "geometric", "c": 0.25, "r": 0.5}),
+        ({"type": "finite_support", "probs": 3}, {"type": "geometric", "c": 0.25, "r": 0.5}),
+        ({"type": "finite_support", "probs": ["0.5", 0.5]}, {"type": "geometric", "c": 0.25, "r": 0.5}),
+        ({"type": "poisson", "lambda": 1.0}, {"type": "geometric", "c": 0.25, "r": "x"}),
+        ({"type": "poisson", "lambda": 1.0}, {"type": "finite_list", "values": 3}),
+    ],
+    ids=["p-string", "lambda-null", "m-bool", "probs-number", "probs-string-entry", "r-string",
+         "values-number"],
+)
+def test_wrong_spec_types_exit_2(tmp_path, capsys, immigration, decay):
+    spec = {"immigration": immigration, "offspring": {"type": "poisson_family", "decay": decay}}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(spec))
+    assert main(["theory", "--model", str(path)]) == 2
+    assert "must be a" in capsys.readouterr().err
+
+
+def test_explicit_laws_must_be_a_list(tmp_path):
+    spec = {"immigration": {"type": "poisson", "lambda": 1.0},
+            "offspring": {"type": "explicit", "laws": 3}}
+    path = tmp_path / "laws.json"
+    path.write_text(json.dumps(spec))
+    assert main(["theory", "--model", str(path)]) == 2
+
+
 def test_simulate_reproducible_files(b1_path, tmp_path, capsys):
     out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
     assert main(["simulate", "--model", b1_path, "--n", "100", "--seed", "7", "--out", str(out1)]) == 0

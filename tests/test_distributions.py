@@ -82,6 +82,24 @@ def test_bernoulli_pmf_and_draws_pinned():
     assert draws.tolist() == [0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 
 
+def test_point_mass_binomial_at_very_negative_tilts():
+    # p = 1 is the point mass at m: log-MGF m t and slope m, even where e^t underflows
+    for d, m in ((Binomial(2, 1.0), 2), (Bernoulli(1.0), 1)):
+        for t in (-40.0, -800.0):
+            assert d.log_mgf(t) == m * t
+            assert d.log_mgf_prime(t) == m
+        assert d.support_min() == d.support_max() == m
+
+
+def test_support_min():
+    assert Constant(3).support_min() == 3
+    assert Binomial(5, 0.3).support_min() == 0
+    assert Bernoulli(0.4).support_min() == 0
+    assert FiniteSupport((0.0, 0.0, 0.4, 0.6)).support_min() == 2
+    assert Poisson(1.5).support_min() == 0
+    assert Geometric(0.5).support_min() == 0
+
+
 def test_pmf_values():
     assert Bernoulli(0.4).pmf(1) == 0.4
     assert Poisson(1.0).pmf(0) == pytest.approx(math.exp(-1), abs=1e-15)

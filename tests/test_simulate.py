@@ -34,6 +34,15 @@ def test_staircase_counts():
     assert (traj.counts == np.arange(1, 11)).all()
 
 
+def test_empty_lag_list_gives_iid_immigration(pure_immigration):
+    traj = simulate(pure_immigration, 50, RandomStream(seed=1))
+    gen = RandomStream(seed=1).generator()
+    assert traj.counts.tolist() == [Poisson(1.0).sample(gen) for _ in range(50)]
+    diag = martingale_diagnostic(traj, pure_immigration)
+    assert diag.m_path.tolist() == np.cumsum(traj.counts - 1.0).tolist()
+    assert simulate_batch(pure_immigration, 50, 1, RandomStream(seed=1))[0].s_n == traj.counts.sum()
+
+
 def test_reproducibility(hawkes):
     a = simulate(hawkes, 300, RandomStream(seed=42))
     b = simulate(hawkes, 300, RandomStream(seed=42))
@@ -130,6 +139,27 @@ def test_martingale_decomposition_identity(hawkes):
     ) + p_total * x[-1]
     identity = (1 - p_total) * x.sum() - n * 1.0 + remainder
     assert abs(diag.m_path[-1] - identity) < 1e-9
+
+
+def _per_lag_conditional_means(m, counts):
+    """Reference: E[X_t | past] accumulated lag by lag, as the diagnostic once did."""
+    n = len(counts)
+    coeffs = m.offspring.mean_coefficients(history_window(m, n))
+    xf = counts.astype(float)
+    cond = np.full(n, m.immigration.mean())
+    for k in range(1, min(len(coeffs), n - 1) + 1):
+        cond[k:] += coeffs[k - 1] * xf[: n - k]
+    return cond
+
+
+@pytest.mark.parametrize("name", ["hawkes", "bernoulli_ar1", "two_lag", "finite_mix"])
+def test_martingale_path_matches_per_lag_reference(name, request):
+    m = request.getfixturevalue(name)
+    for n in (1, 2, 60, 400):
+        traj = simulate(m, n, RandomStream(seed=31))
+        ref = np.cumsum(traj.counts - _per_lag_conditional_means(m, traj.counts))
+        got = martingale_diagnostic(traj, m).m_path
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * n)
 
 
 def test_martingale_mean_zero_band(bernoulli_ar1):
