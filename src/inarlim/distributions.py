@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError
 
@@ -26,6 +25,7 @@ __all__ = [
     "Geometric",
     "FiniteSupport",
     "dist_from_spec",
+    "log_sum_exp",
 ]
 
 PROB_SUM_TOL = 1e-12
@@ -43,6 +43,24 @@ def _safe_exp(t: float) -> float:
         return math.exp(t)
     except OverflowError:
         return math.inf
+
+
+def log_sum_exp(x, weights) -> float:
+    """log(sum(weights * exp(x))) for nonnegative weights, without overflow.
+
+    Entries of zero weight are dropped; the rest are shifted by their
+    largest x, and the weights are multiplied in rather than added as logs,
+    so unit total weight at x = 0 gives exactly 0.
+    """
+    x, w = np.broadcast_arrays(
+        np.asarray(x, dtype=np.float64), np.asarray(weights, dtype=np.float64)
+    )
+    keep = w > 0.0
+    x, w = x[keep], w[keep]
+    top = float(x.max(initial=-math.inf))
+    if math.isinf(top):
+        return top
+    return top + math.log(float(np.dot(w, np.exp(x - top))))
 
 
 def _check_prob(p: float, name: str = "p") -> None:
@@ -342,20 +360,18 @@ class FiniteSupport(CountDistribution):
         return float(np.dot(v * v, self.probs)) - m * m
 
     def log_mgf(self, t: float) -> float:
-        if math.isinf(t) and t > 0:
-            return math.inf if self.support_max() > 0 else 0.0
-        p = np.asarray(self.probs)
-        keep = p > 0.0
-        return float(logsumexp(t * self._values()[keep], b=p[keep]))
+        if math.isinf(t):
+            # the limit is set by the extreme support point in the direction of t
+            k = self.support_max() if t > 0 else self.support_min()
+            return math.log(self.probs[0]) if k == 0 else t
+        return log_sum_exp(t * self._values(), self.probs)
 
     def log_mgf_prime(self, t: float) -> float:
-        p = np.asarray(self.probs)
-        keep = p > 0.0
-        v = self._values()[keep]
-        w = np.log(p[keep]) + t * v
-        w -= w.max()
-        w = np.exp(w)
-        return float(np.dot(v, w) / w.sum())
+        if math.isinf(t):
+            return float(self.support_max() if t > 0 else self.support_min())
+        # the mean under the tilted law, whose weights are p_k exp(t k - log_mgf(t))
+        v = self._values()
+        return float(np.dot(v * self.probs, np.exp(t * v - log_sum_exp(t * v, self.probs))))
 
     def pmf(self, k: int) -> float:
         if 0 <= k < len(self.probs):

@@ -10,6 +10,7 @@ violating models can still be inspected and reported on.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import zeta
 
 from .distributions import CountDistribution, Poisson, dist_from_spec, spec_value
 from .errors import AssumptionViolation, ConfigError
@@ -39,9 +39,60 @@ __all__ = [
     "validate",
     "effective_horizon",
     "require_assumptions",
+    "hurwitz_zeta",
 ]
 
 TRUNCATION_TOL = 1e-12
+
+# Euler-Maclaurin divisors (2j)! / B_2j for j = 1..12, as in Cephes zeta.c
+_ZETA_EM_DIVISORS = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+_MACHEP = 1.11022302462515654042e-16
+
+
+@functools.lru_cache(maxsize=1024)
+def hurwitz_zeta(x: float, q: float) -> float:
+    """sum over k >= 0 of (k + q)**(-x), for x > 1 and q >= 1.
+
+    Cephes' zeta.c in its evaluation order, so its values are reproduced
+    bitwise: a two-term asymptotic expansion for q > 1e8; otherwise at
+    least nine direct terms, continued past k + q = 9, then up to 12
+    Euler-Maclaurin corrections; either stage stops once a term falls
+    below machine precision relative to the sum.  Memoized: a power law's
+    total and tails recur on every CGF evaluation and window search.
+    """
+    if q > 1e8:
+        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * q ** (1.0 - x)
+    s = q**-x
+    kq = q
+    i = 0
+    b = 0.0
+    while i < 9 or kq <= 9.0:
+        i += 1
+        kq += 1.0
+        b = kq**-x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    s += b * kq / (x - 1.0)
+    s -= 0.5 * b
+    rising = 1.0
+    j = 0.0
+    for divisor in _ZETA_EM_DIVISORS:
+        rising *= x + j
+        b /= kq
+        t = rising * b / divisor
+        s += t
+        if abs(t / s) < _MACHEP:
+            return s
+        j += 1.0
+        rising *= x + j
+        b /= kq
+        j += 1.0
+    return s
 
 
 @dataclass(frozen=True)
@@ -103,12 +154,12 @@ class PowerLawDecay:
         return self.c * np.arange(1, upto + 1, dtype=np.float64) ** (-self.a)
 
     def total(self) -> float:
-        return self.c * float(zeta(self.a, 1))
+        return self.c * hurwitz_zeta(self.a, 1.0)
 
     def tail(self, after: int) -> float:
         if self.c == 0.0:
             return 0.0
-        return self.c * float(zeta(self.a, after + 1))
+        return self.c * hurwitz_zeta(self.a, float(after + 1))
 
     def poly_sup(self, power: float) -> float:
         """sup over k >= 1 of k**power * c * k**(-a): attained at k = 1 unless power > a."""

@@ -13,8 +13,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .distributions import log_sum_exp
 from .errors import EnumerationError
 from .model import ExplicitOffspring, InarModel
 
@@ -150,7 +150,7 @@ def oracle_log_mgf(m: InarModel, theta: float, n: int) -> float:
     """log E[exp(theta * S_n)] from the enumerated exact law."""
     law = enumerate_sum_distribution(m, n)
     support, probs = law.prob_array()
-    return float(logsumexp(theta * support.astype(np.float64), b=probs))
+    return log_sum_exp(theta * support.astype(np.float64), probs)
 
 
 def oracle_moments(m: InarModel, n: int) -> tuple:

@@ -100,6 +100,32 @@ def test_support_min():
     assert Geometric(0.5).support_min() == 0
 
 
+INFINITE_TILT_LAWS = [
+    Constant(0),
+    Constant(2),
+    Bernoulli(0.4),
+    Binomial(5, 0.3),
+    Binomial(2, 1.0),
+    Poisson(1.5),
+    Poisson(0.0),
+    Geometric(0.5),
+    Geometric(1.0),
+    FiniteSupport((0.3, 0.5, 0.2)),
+    FiniteSupport((0.0, 0.5, 0.5)),
+    FiniteSupport((1.0,)),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", INFINITE_TILT_LAWS, ids=repr)
+def test_log_mgf_limits_at_infinite_tilts(d):
+    lo, hi = d.support_min(), d.support_max()
+    assert d.log_mgf(-math.inf) == (math.log(d.pmf(0)) if lo == 0 else -math.inf)
+    assert d.log_mgf(math.inf) == (0.0 if hi == 0 else math.inf)
+    assert d.log_mgf_prime(-math.inf) == lo
+    assert d.log_mgf_prime(math.inf) == (math.inf if hi is None else hi)
+
+
 def test_pmf_values():
     assert Bernoulli(0.4).pmf(1) == 0.4
     assert Poisson(1.0).pmf(0) == pytest.approx(math.exp(-1), abs=1e-15)
