@@ -46,15 +46,14 @@ def _safe_exp(t: float) -> float:
 
 
 def log_sum_exp(x, weights) -> float:
-    """log(sum(weights * exp(x))) for nonnegative weights, without overflow.
+    """log(sum(weights * exp(x))) for equal-length x and nonnegative weights, without overflow.
 
     Entries of zero weight are dropped; the rest are shifted by their
     largest x, and the weights are multiplied in rather than added as logs,
     so unit total weight at x = 0 gives exactly 0.
     """
-    x, w = np.broadcast_arrays(
-        np.asarray(x, dtype=np.float64), np.asarray(weights, dtype=np.float64)
-    )
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     keep = w > 0.0
     x, w = x[keep], w[keep]
     top = float(x.max(initial=-math.inf))
@@ -369,9 +368,12 @@ class FiniteSupport(CountDistribution):
     def log_mgf_prime(self, t: float) -> float:
         if math.isinf(t):
             return float(self.support_max() if t > 0 else self.support_min())
-        # the mean under the tilted law, whose weights are p_k exp(t k - log_mgf(t))
-        v = self._values()
-        return float(np.dot(v * self.probs, np.exp(t * v - log_sum_exp(t * v, self.probs))))
+        # the mean under the tilted law, whose weights exp(log p_k + t k - log_mgf(t)) are
+        # at most 1, taken over the positive p_k only
+        p = np.asarray(self.probs)
+        keep = p > 0.0
+        v, p = self._values()[keep], p[keep]
+        return float(np.dot(v, np.exp(np.log(p) + t * v - log_sum_exp(t * v, p))))
 
     def pmf(self, k: int) -> float:
         if 0 <= k < len(self.probs):

@@ -219,17 +219,18 @@ def validate_gamma(
                 "is not estimable there"
             )
     sums = _batch_sums(m, n, reps, seed)
+    ones = np.ones(reps)
     boot_rng = RandomStream(seed=seed, stream=reps).generator()
 
     points = []
     all_ok = True
     for theta in theta_grid:
-        emp = (log_sum_exp(theta * sums, 1.0) - math.log(reps)) / n
+        emp = (log_sum_exp(theta * sums, ones) - math.log(reps)) / n
         target = limit_cgf(m, theta)
         boot = np.empty(bootstrap)
         for b in range(bootstrap):
             idx = boot_rng.integers(0, reps, size=reps)
-            boot[b] = (log_sum_exp(theta * sums[idx], 1.0) - math.log(reps)) / n
+            boot[b] = (log_sum_exp(theta * sums[idx], ones) - math.log(reps)) / n
         se = float(boot.std(ddof=1))
         tol = max(0.02, 3.0 * se)
         exact_gap = abs(

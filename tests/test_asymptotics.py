@@ -161,6 +161,16 @@ def test_ldp_rate_at_and_below_the_smallest_immigration():
     assert ldp_rate(ar1, 1.0) - 2e-3 < ldp_rate(ar1, 1.0001) < ldp_rate(ar1, 1.0)
 
 
+def test_ldp_rate_with_immigration_support_from_60():
+    # the immigration's support starts at 60, so the tilted slopes at very negative f
+    # weigh p_k exp(f k) that underflow for the zero entries below it
+    m = InarModel(FiniteSupport((0.0,) * 60 + (0.5, 0.5)), ExplicitOffspring((Bernoulli(0.3),)))
+    at_a = -math.log(0.5) - 60 * math.log(0.7)
+    assert ldp_rate(m, 60.0) == pytest.approx(at_a, abs=1e-12)
+    assert at_a - 2e-2 < ldp_rate(m, 60.001) < at_a
+    assert 0.0 < ldp_rate(m, 60.3) < ldp_rate(m, 60.001)
+
+
 def test_ldp_rate_with_point_mass_binomial_immigration():
     m = InarModel(Binomial(2, 1.0), PoissonOffspring(GeometricDecay(0.2, 0.5)))
     assert ldp_rate(m, 2.0) == pytest.approx(0.8, abs=1e-12)

@@ -21,7 +21,7 @@ from scipy.special import logsumexp, zeta
 from scipy.stats import kstest, norm
 
 import inarlim.model
-from inarlim import InarModel, Poisson, PoissonOffspring, PowerLawDecay
+from inarlim import FiniteSupport, InarModel, Poisson, PoissonOffspring, PowerLawDecay
 from inarlim.distributions import log_sum_exp
 from inarlim.model import history_window, hurwitz_zeta
 from inarlim.montecarlo import ks_statistic_normal, normal_sf
@@ -93,6 +93,36 @@ def test_log_sum_exp_matches_scipy_on_random_vectors(pairs):
     # either side rounds at the scale of its shift: the largest |x| and, in scipy, |log w|
     scale = 1.0 + abs(x).max() + abs(np.log(w[w > 0.0])).max(initial=0.0)
     assert log_sum_exp(x, w) == pytest.approx(expected, rel=0.0, abs=1e-15 * scale)
+
+
+# zero entries below and above the support, leading zeros, and an entry below the smallest
+# normal double: at these tilts p_k exp(t k) over- or underflows for some k
+LARGE_TILT_PROBS = [
+    (0.0, 0.5, 0.5),
+    (0.5, 0.5, 0.0),
+    (0.3, 0.5, 0.2),
+    (0.1, 0.0, 0.9),
+    (1e-320, 0.5, 0.5),
+    (0.0,) * 30 + (0.5, 0.5),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t", (-800.0, -40.0, 40.0, 800.0))
+@pytest.mark.parametrize(
+    "probs",
+    LARGE_TILT_PROBS,
+    ids=["zero-first", "zero-last", "all-positive", "zero-inside", "subnormal-first", "30-zeros-first"],
+)
+def test_finite_support_log_mgf_at_large_tilts_against_mpmath(probs, t):
+    d = FiniteSupport(probs)
+    with mpmath.workdps(50):
+        terms = [mpmath.mpf(p) * mpmath.exp(mpmath.mpf(t) * k) for k, p in enumerate(probs)]
+        total = mpmath.fsum(terms)
+        log_mgf = float(mpmath.log(total))
+        slope = float(mpmath.fsum(k * w for k, w in enumerate(terms)) / total)
+    assert d.log_mgf(t) == pytest.approx(log_mgf, rel=1e-14, abs=1e-14)
+    assert d.log_mgf_prime(t) == pytest.approx(slope, rel=1e-12, abs=0.0)
 
 
 def test_normal_tail_against_scipy_and_mpmath():
