@@ -27,8 +27,6 @@ from .model import (
     PowerLawDecay,
     effective_horizon,
     model_from_spec,
-    offspring_mean_l1,
-    offspring_var_l1,
     require_assumptions,
     validate,
 )

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .distributions import CountDistribution
-from .errors import AssumptionViolation
-from .model import (
-    ExplicitOffspring,
-    InarModel,
-    offspring_mean_l1,
-    offspring_var_l1,
-    require_assumptions,
-)
+from .model import ExplicitOffspring, InarModel, require_assumptions
 
 __all__ = [
     "TheorySummary",
@@ -105,9 +98,8 @@ class _CriticalTilt:
 
 @lru_cache(maxsize=256)
 def _critical_tilt(m: InarModel) -> _CriticalTilt:
-    mean_l1 = offspring_mean_l1(m)
-    if mean_l1 >= 1.0:
-        raise AssumptionViolation("a", f"offspring mean l1 norm is {mean_l1}, must be below 1")
+    """Per model, and only under assumption (a): a violation raises and is not cached."""
+    require_assumptions(m, labels=("a",))
     s_total = m.offspring.support_total()
     if s_total < 1.0:
         # no offspring at all: F is the identity, unbounded above
@@ -134,9 +126,8 @@ def critical_tilt(m: InarModel) -> tuple:
     (bounded offspring whose support maxima sum to exactly 1), reported as
     the limit value, or F unbounded above (no offspring), reported as
     +inf.  The fixed-point solver accepts the critical value itself only
-    when it is attained.
+    when it is attained.  Raises AssumptionViolation unless (a) holds.
     """
-    require_assumptions(m, labels=("a",))
     ct = _critical_tilt(m)
     return ct.value, ct.attained
 
@@ -184,16 +175,12 @@ def limit_cgf(m: InarModel, theta: float) -> float:
 
 def lln_mean(m: InarModel) -> float:
     """Long-run mean of the per-step counts: E[immigration] / (1 - mean_l1)."""
-    require_assumptions(m, labels=("a", "c"))
-    return m.immigration.mean() / (1.0 - offspring_mean_l1(m))
+    return require_assumptions(m, labels=("a", "c")).mu
 
 
 def clt_variance(m: InarModel) -> float:
     """Variance of the Gaussian limit of (S_n - n mu) / sqrt(n)."""
-    require_assumptions(m, labels=("a", "c"))
-    mean_l1 = offspring_mean_l1(m)
-    num = m.immigration.mean() * offspring_var_l1(m) + m.immigration.variance() * (1.0 - mean_l1)
-    return num / (1.0 - mean_l1) ** 3
+    return require_assumptions(m, labels=("a", "c")).sigma2
 
 
 def mdp_rate(m: InarModel, x: float) -> float:
@@ -253,8 +240,7 @@ def ldp_rate(m: InarModel, x: float) -> float:
     when F has none) the tilt F(f) runs over its whole range.  Means
     outside the reachable range give +inf.
     """
-    require_assumptions(m, labels=("a", "c"))
-    if x == lln_mean(m):
+    if x == require_assumptions(m, labels=("a", "c")).mu:
         return 0.0
     ct = _critical_tilt(m)
     return _legendre_at_fixed_point(m, x, ct.argmax if ct.attained else math.inf)
@@ -268,9 +254,9 @@ def inar1_ldp_rate(eps: CountDistribution, xi1: CountDistribution, x: float) -> 
     the model with only the first lag active: the same solve as
     ``ldp_rate``, over the whole domain of psi.
     """
-    if not xi1.mean() < 1.0:
-        raise AssumptionViolation("a", f"offspring mean is {xi1.mean()}, must be below 1")
-    return _legendre_at_fixed_point(InarModel(eps, ExplicitOffspring((xi1,))), x, math.inf)
+    m = InarModel(eps, ExplicitOffspring((xi1,)))
+    require_assumptions(m, labels=("a",))
+    return _legendre_at_fixed_point(m, x, math.inf)
 
 
 @dataclass(frozen=True)
@@ -302,14 +288,14 @@ class TheorySummary:
 
 
 def theory_summary(m: InarModel) -> TheorySummary:
-    require_assumptions(m, labels=("a", "c"))
-    value, attained = critical_tilt(m)
+    report = require_assumptions(m, labels=("a", "c"))
+    ct = _critical_tilt(m)
     return TheorySummary(
         model=m,
-        mu=lln_mean(m),
-        sigma2=clt_variance(m),
-        theta_c=value,
-        theta_c_attained=attained,
-        offspring_mean_l1=offspring_mean_l1(m),
-        offspring_var_l1=offspring_var_l1(m),
+        mu=report.mu,
+        sigma2=report.sigma2,
+        theta_c=ct.value,
+        theta_c_attained=ct.attained,
+        offspring_mean_l1=report.mean_l1,
+        offspring_var_l1=report.var_l1,
     )

@@ -159,7 +159,10 @@ class Binomial(CountDistribution):
 
     def log_mgf(self, t: float) -> float:
         # log(1 - p + p e^t) per trial, written to stay stable for large |t|;
-        # p = 1 is the point mass at m, where log1p(-1) would fail
+        # p = 0 and p = 1 are the point masses at 0 and m, where the forms
+        # below would take log(0) or log1p(-1)
+        if self.p == 0.0:
+            return 0.0
         if self.p == 1.0:
             return self.m * t
         if t <= 0.0:
@@ -167,6 +170,8 @@ class Binomial(CountDistribution):
         return self.m * (t + math.log(self.p + (1.0 - self.p) * math.exp(-t)))
 
     def log_mgf_prime(self, t: float) -> float:
+        if self.p == 0.0:
+            return 0.0
         if self.p == 1.0:
             return float(self.m)
         if t <= 0.0:
@@ -408,13 +413,22 @@ _SPEC_TYPES = {
     "geometric": (Geometric, {"p": "p"}),
     "finite_support": (FiniteSupport, {"probs": "probs"}),
 }
-_LIST_KEYS = {"laws": "a list", "probs": "a list of numbers", "values": "a list of numbers"}
+_LIST_KEYS = {
+    "laws": "a list",
+    "probs": "a list of finite numbers",
+    "values": "a list of finite numbers",
+}
 
 
 def spec_value(obj: dict, key: str):
-    """obj[key], checked to be a JSON number, or a list for the keys in _LIST_KEYS."""
+    """obj[key], checked to be a finite JSON number, or a list for the keys in _LIST_KEYS.
+
+    Python's json reads the Infinity and NaN tokens as floats; they are rejected here.
+    """
     val = obj[key]
-    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    number = lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
+    )
     if key == "laws":
         ok = isinstance(val, list)
     elif key in _LIST_KEYS:
@@ -422,7 +436,7 @@ def spec_value(obj: dict, key: str):
     else:
         ok = number(val)
     if not ok:
-        raise ConfigError(f"{key} must be {_LIST_KEYS.get(key, 'a number')}, got {val!r}")
+        raise ConfigError(f"{key} must be {_LIST_KEYS.get(key, 'a finite number')}, got {val!r}")
     return val
 
 

@@ -34,8 +34,6 @@ __all__ = [
     "AssumptionItem",
     "AssumptionReport",
     "model_from_spec",
-    "offspring_mean_l1",
-    "offspring_var_l1",
     "validate",
     "effective_horizon",
     "require_assumptions",
@@ -355,23 +353,12 @@ class InarModel:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def offspring_mean_l1(m: InarModel) -> float:
-    """l1 norm of the per-lag offspring means."""
-    return m.offspring.mean_l1()
-
-
-def offspring_var_l1(m: InarModel) -> float:
-    """l1 norm of the per-lag offspring variances."""
-    return m.offspring.var_l1()
-
-
 def effective_horizon(m: InarModel, tol: float) -> int:
     """Smallest K with total offspring mean beyond lag K below tol.
 
     Exact for geometric and finite decay, via Hurwitz-zeta tails for power
-    laws (which can make K astronomically large; simulation and recursion
-    windows are additionally capped at the horizon length, so a huge K only
-    means "use all available history").
+    laws (which can make K astronomically large).  Raises ConfigError when
+    K would pass 2**1023, beyond which the zeta argument overflows a float.
     """
     if tol <= 0.0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
@@ -383,6 +370,8 @@ def effective_horizon(m: InarModel, tol: float) -> int:
     hi = 1
     while tail(hi) >= tol:
         hi *= 2
+        if hi > 2**1023:
+            raise ConfigError(f"offspring mean tail still at least {tol} past lag 2**1023")
     lo = hi // 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
@@ -394,8 +383,14 @@ def effective_horizon(m: InarModel, tol: float) -> int:
 
 
 def history_window(m: InarModel, n: int) -> int:
-    """Lags of history kept at horizon n: the effective horizon, capped by n - 1."""
-    return min(effective_horizon(m, TRUNCATION_TOL), max(n - 1, 1))
+    """Lags of history kept at horizon n: the effective horizon, capped by n - 1.
+
+    The horizon is searched for only when the tail past the cap is below tolerance.
+    """
+    cap = max(n - 1, 1)
+    if m.offspring.mean_tail(cap) >= TRUNCATION_TOL:
+        return cap
+    return min(effective_horizon(m, TRUNCATION_TOL), cap)
 
 
 @dataclass(frozen=True)
@@ -414,11 +409,17 @@ class AssumptionReport:
     variance; (b1) lag-k mean bounded by C1 * k**(-3/2); (b2) lag-k mean
     bounded by C2 * k**(-a) for some a > 3/2; (c) finite immigration mean
     and variance.
+
+    Also the model's limit constants, +inf unless (a) holds: the long-run
+    mean mu = E[eps] / (1 - mean_l1) and the CLT variance
+    sigma2 = (E[eps] var_l1 + Var[eps] (1 - mean_l1)) / (1 - mean_l1)**3.
     """
 
     items: tuple
     mean_l1: float
     var_l1: float
+    mu: float
+    sigma2: float
 
     def item(self, label: str) -> AssumptionItem:
         for it in self.items:
@@ -453,8 +454,8 @@ class AssumptionReport:
 
 def validate(m: InarModel) -> AssumptionReport:
     """Check the standing assumptions, reporting (never raising) violations."""
-    mean_l1 = offspring_mean_l1(m)
-    var_l1 = offspring_var_l1(m)
+    mean_l1 = m.offspring.mean_l1()
+    var_l1 = m.offspring.var_l1()
 
     a_holds = mean_l1 < 1.0 and math.isfinite(var_l1)
     a_item = AssumptionItem(
@@ -492,8 +493,16 @@ def validate(m: InarModel) -> AssumptionReport:
         constants={"mean": imm_mean, "variance": imm_var},
     )
 
+    one_minus = 1.0 - mean_l1
+    mu = imm_mean / one_minus if a_holds else math.inf
+    sigma2 = (imm_mean * var_l1 + imm_var * one_minus) / one_minus**3 if a_holds else math.inf
+
     return AssumptionReport(
-        items=(a_item, b1_item, b2_item, c_item), mean_l1=mean_l1, var_l1=var_l1
+        items=(a_item, b1_item, b2_item, c_item),
+        mean_l1=mean_l1,
+        var_l1=var_l1,
+        mu=mu,
+        sigma2=sigma2,
     )
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .asymptotics import clt_variance, critical_tilt, limit_cgf, lln_mean, mdp_rate
 from .distributions import log_sum_exp
 from .errors import InsufficientTailMass
-from .model import InarModel
+from .model import InarModel, require_assumptions
 from .recursions import log_mgf_exact
 from .simulate import RandomStream, simulate
 
@@ -86,8 +86,9 @@ def _batch_sums(m: InarModel, n: int, reps: int, seed: int) -> np.ndarray:
 def validate_lln(m: InarModel, n: int, reps: int, seed: int, mu_override=None) -> ValidationReport:
     """Mean of S_n/n against the long-run mean, within a 4-sigma band."""
     start = time.perf_counter()
-    mu = lln_mean(m) if mu_override is None else mu_override
-    sigma2 = clt_variance(m)
+    report = require_assumptions(m, labels=("a", "c"))
+    mu = report.mu if mu_override is None else mu_override
+    sigma2 = report.sigma2
     sums = _batch_sums(m, n, reps, seed)
     mean = float(sums.mean()) / n
     band = 4.0 * math.sqrt(sigma2 / (n * reps))
@@ -112,8 +113,9 @@ def validate_clt(
     if reps < MIN_KS_REPS:
         raise ValueError(f"need at least {MIN_KS_REPS} replications for the asymptotic KS test")
     start = time.perf_counter()
-    mu = lln_mean(m)
-    sigma2 = clt_variance(m) if sigma2_override is None else sigma2_override
+    report = require_assumptions(m, labels=("a", "c"))
+    mu = report.mu
+    sigma2 = report.sigma2 if sigma2_override is None else sigma2_override
     if sigma2 <= 0.0:
         raise ValueError("degenerate model: the limiting variance vanishes")
     sums = _batch_sums(m, n, reps, seed)

@@ -22,14 +22,7 @@ import numpy as np
 
 from .distributions import _safe_expm1
 from .errors import ConfigError
-from .model import (
-    InarModel,
-    PoissonOffspring,
-    history_window,
-    offspring_mean_l1,
-    offspring_var_l1,
-    require_assumptions,
-)
+from .model import InarModel, PoissonOffspring, history_window, require_assumptions
 
 __all__ = [
     "MgfRecursion",
@@ -126,8 +119,9 @@ class GbarTables:
 
     g1 solves g1(k) = 1 + sum_i E[xi_i] g1(k-i) with g1(1) = 1; g2 solves
     g2(k) = sum_i E[xi_i] g2(k-i) + (1/2) sum_i Var[xi_i] g1(k-i)^2 with
-    g2(1) = 0.  Both are uniformly bounded: g1 by 1/(1 - mean_l1), g2 by
-    var_l1 / (2 (1 - mean_l1)^3); the constructor asserts the bounds on
+    g2(1) = 0.  Both are uniformly bounded by their Cesaro limits, g1_limit
+    = 1/(1 - mean_l1) and g2_limit = var_l1 / (2 (1 - mean_l1)^3), and g1^2
+    tends to g1_sq_limit = g1_limit^2; the constructor asserts the bounds on
     every entry (a violation is an implementation bug, not data).
     """
 
@@ -136,12 +130,15 @@ class GbarTables:
     sum_g1: float
     sum_g1_sq: float
     sum_g2: float
+    g1_limit: float
+    g1_sq_limit: float
+    g2_limit: float
 
 
 def gbar_tables(m: InarModel, n: int) -> GbarTables:
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
-    require_assumptions(m, labels=("a",))
+    report = require_assumptions(m, labels=("a",))
     w = history_window(m, n)
     mean_rev = np.ascontiguousarray(m.offspring.mean_coefficients(w)[::-1])
     var_rev = np.ascontiguousarray(m.offspring.var_coefficients(w)[::-1])
@@ -161,13 +158,12 @@ def gbar_tables(m: InarModel, n: int) -> GbarTables:
             np.dot(g1sq[lo:k], var_rev[w - wk :])
         )
 
-    mean_l1 = offspring_mean_l1(m)
-    var_l1 = offspring_var_l1(m)
-    g1_bound = 1.0 / (1.0 - mean_l1)
-    g2_bound = var_l1 / (2.0 * (1.0 - mean_l1) ** 3)
-    if not (g1 > 0.0).all() or not (g1 <= g1_bound).all():
+    one_minus = 1.0 - report.mean_l1
+    g1_limit = 1.0 / one_minus
+    g2_limit = report.var_l1 / (2.0 * one_minus**3)
+    if not (g1 > 0.0).all() or not (g1 <= g1_limit).all():
         raise RuntimeError("first-order table escaped its uniform bound (implementation bug)")
-    if not (g2 >= 0.0).all() or not (g2 <= g2_bound).all():
+    if not (g2 >= 0.0).all() or not (g2 <= g2_limit).all():
         raise RuntimeError("second-order table escaped its uniform bound (implementation bug)")
 
     return GbarTables(
@@ -176,6 +172,9 @@ def gbar_tables(m: InarModel, n: int) -> GbarTables:
         sum_g1=float(g1.sum()),
         sum_g1_sq=float(g1sq.sum()),
         sum_g2=float(g2.sum()),
+        g1_limit=g1_limit,
+        g1_sq_limit=1.0 / one_minus**2,
+        g2_limit=g2_limit,
     )
 
 
@@ -199,16 +198,13 @@ class CesaroCheck:
 def cesaro_check(m: InarModel, n: int) -> CesaroCheck:
     """Cesaro means of g1, g1^2, g2 against their closed-form limits."""
     tables = gbar_tables(m, n)
-    mean_l1 = offspring_mean_l1(m)
-    var_l1 = offspring_var_l1(m)
-    one_minus = 1.0 - mean_l1
     return CesaroCheck(
         g1_mean=tables.sum_g1 / n,
-        g1_limit=1.0 / one_minus,
+        g1_limit=tables.g1_limit,
         g1_sq_mean=tables.sum_g1_sq / n,
-        g1_sq_limit=1.0 / one_minus**2,
+        g1_sq_limit=tables.g1_sq_limit,
         g2_mean=tables.sum_g2 / n,
-        g2_limit=var_l1 / (2.0 * one_minus**3),
+        g2_limit=tables.g2_limit,
     )
 
 
@@ -243,10 +239,7 @@ class MdpCurvePoint:
 
 def mdp_scaled_limit(m: InarModel, theta: float) -> float:
     """Limit of the scaled, centered log-MGF: theta^2 * sigma^2 / 2."""
-    mean_l1 = offspring_mean_l1(m)
-    var_l1 = offspring_var_l1(m)
-    num = m.immigration.mean() * var_l1 + m.immigration.variance() * (1.0 - mean_l1)
-    return theta**2 * num / (2.0 * (1.0 - mean_l1) ** 3)
+    return theta**2 * require_assumptions(m, labels=("a", "c")).sigma2 / 2.0
 
 
 def mdp_mgf_curve(m: InarModel, theta: float, sched: MdpSchedule) -> list:
@@ -256,13 +249,13 @@ def mdp_mgf_curve(m: InarModel, theta: float, sched: MdpSchedule) -> list:
     tilted MGF at some grid point (theta too large for small n) is
     reported as an infinite value for that point only.
     """
-    require_assumptions(m, labels=("a", "c"))
-    mu = m.immigration.mean() / (1.0 - offspring_mean_l1(m))
+    report = require_assumptions(m, labels=("a", "c"))
+    limit = theta**2 * report.sigma2 / 2.0
     points = []
     for n in sched.horizons:
         c = sched.c(n)
         theta_n = c * theta / n
         lm = log_mgf_exact(m, theta_n, n)
-        value = (n / c**2) * (lm - c * theta * mu) if math.isfinite(lm) else math.inf
-        points.append(MdpCurvePoint(n=n, value=value, limit=mdp_scaled_limit(m, theta)))
+        value = (n / c**2) * (lm - c * theta * report.mu) if math.isfinite(lm) else math.inf
+        points.append(MdpCurvePoint(n=n, value=value, limit=limit))
     return points

@@ -14,19 +14,12 @@ index r, so replications are independent and order-insensitive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import FingerprintMismatch
-from .model import (
-    InarModel,
-    PoissonOffspring,
-    history_window,
-    offspring_mean_l1,
-    offspring_var_l1,
-)
+from .model import InarModel, PoissonOffspring, history_window, validate
 
 __all__ = [
     "RandomStream",
@@ -174,11 +167,10 @@ def martingale_diagnostic(traj: Trajectory, m: InarModel) -> MartingaleDiagnosti
     cond[1:] += np.convolve(xf, coeffs)[: n - 1]
     m_path = np.cumsum(xf - cond)
 
-    mean_l1 = offspring_mean_l1(m)
-    var_l1 = offspring_var_l1(m)
-    mu = m.immigration.mean() / (1.0 - mean_l1) if mean_l1 < 1.0 else math.inf
+    report = validate(m)
     # var_l1 == 0 makes the offspring term vanish even when mu is infinite
-    bound = n * m.immigration.variance() + (var_l1 * n * mu if var_l1 > 0.0 else 0.0)
+    offspring_term = report.var_l1 * n * report.mu if report.var_l1 > 0.0 else 0.0
+    bound = n * m.immigration.variance() + offspring_term
     return MartingaleDiagnostic(
         m_path=m_path,
         second_moment_bound=bound,

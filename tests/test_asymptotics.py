@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import inarlim.model
 from inarlim import (
     AssumptionViolation,
     Bernoulli,
@@ -231,6 +232,24 @@ def test_theory_summary(hawkes):
     assert summary.mdp_rate(1.0) == pytest.approx(0.0625)
     assert summary.ldp_rate(2.0) == 0.0
     assert summary.tilt_gap(0.0) == 0.0
+
+
+def test_theory_summary_and_ldp_rate_check_the_assumptions_once(hawkes, monkeypatch):
+    critical_tilt(hawkes)  # cached from here on
+    calls = []
+    real = inarlim.model.validate
+    monkeypatch.setattr(inarlim.model, "validate", lambda m: calls.append(m) or real(m))
+    theory_summary(hawkes)
+    assert len(calls) == 1
+    ldp_rate(hawkes, 3.0)
+    assert len(calls) == 2
+
+
+def test_supercritical_models_raise_through_the_assumption_check():
+    m = InarModel(Poisson(1.0), PoissonOffspring(GeometricDecay(0.6, 0.5)))
+    for call in (critical_tilt, lambda x: tilt_fixed_point(x, 0.1), lambda x: limit_cgf(x, 0.1)):
+        with pytest.raises(AssumptionViolation, match=r"assumption \(a\) violated.*mean_l1=1\.2"):
+            call(m)
 
 
 def test_two_lag_attained_critical_tilt(two_lag):

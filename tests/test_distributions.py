@@ -104,8 +104,10 @@ INFINITE_TILT_LAWS = [
     Constant(0),
     Constant(2),
     Bernoulli(0.4),
+    Bernoulli(0.0),
     Binomial(5, 0.3),
     Binomial(2, 1.0),
+    Binomial(3, 0.0),
     Poisson(1.5),
     Poisson(0.0),
     Geometric(0.5),
@@ -124,6 +126,13 @@ def test_log_mgf_limits_at_infinite_tilts(d):
     assert d.log_mgf(math.inf) == (0.0 if hi == 0 else math.inf)
     assert d.log_mgf_prime(-math.inf) == lo
     assert d.log_mgf_prime(math.inf) == (math.inf if hi is None else hi)
+    for t, k in ((-800.0, lo), (800.0, hi)):
+        if k is None:
+            assert d.log_mgf(t) == d.log_mgf_prime(t) == math.inf
+        else:
+            # all but about exp(-800) of the tilted mass sits on the extreme support point k
+            assert d.log_mgf(t) == pytest.approx(t * k + math.log(d.pmf(k)), rel=1e-12, abs=1e-300)
+            assert d.log_mgf_prime(t) == pytest.approx(k, rel=1e-12, abs=1e-300)
 
 
 def test_pmf_values():

@@ -14,26 +14,28 @@ from inarlim import (
     Poisson,
     PoissonOffspring,
     PowerLawDecay,
+    RandomStream,
     effective_horizon,
     model_from_spec,
-    offspring_mean_l1,
-    offspring_var_l1,
+    simulate,
+    tilt_recursion,
     validate,
 )
+from inarlim.model import TRUNCATION_TOL, history_window
 
 IMM = Poisson(1.0)
 
 
 def test_mean_l1_examples():
-    assert offspring_mean_l1(InarModel(IMM, PoissonOffspring(GeometricDecay(0.25, 0.5)))) == pytest.approx(0.5, abs=1e-14)
-    assert offspring_mean_l1(InarModel(IMM, ExplicitOffspring((Bernoulli(0.4),)))) == 0.4
-    assert offspring_mean_l1(InarModel(IMM, ExplicitOffspring(()))) == 0.0
+    assert PoissonOffspring(GeometricDecay(0.25, 0.5)).mean_l1() == pytest.approx(0.5, abs=1e-14)
+    assert ExplicitOffspring((Bernoulli(0.4),)).mean_l1() == 0.4
+    assert ExplicitOffspring(()).mean_l1() == 0.0
 
 
 def test_var_l1_examples():
-    assert offspring_var_l1(InarModel(IMM, PoissonOffspring(GeometricDecay(0.25, 0.5)))) == pytest.approx(0.5, abs=1e-14)
-    assert offspring_var_l1(InarModel(IMM, ExplicitOffspring((Bernoulli(0.4),)))) == pytest.approx(0.24, abs=1e-15)
-    assert offspring_var_l1(InarModel(IMM, ExplicitOffspring((Constant(0),)))) == 0.0
+    assert PoissonOffspring(GeometricDecay(0.25, 0.5)).var_l1() == pytest.approx(0.5, abs=1e-14)
+    assert ExplicitOffspring((Bernoulli(0.4),)).var_l1() == pytest.approx(0.24, abs=1e-15)
+    assert ExplicitOffspring((Constant(0),)).var_l1() == 0.0
 
 
 @given(c=st.floats(0.01, 0.5), r=st.floats(0.05, 0.95))
@@ -128,6 +130,40 @@ def test_power_law_horizon_is_huge_but_consistent():
     k = effective_horizon(m, 1e-6)
     assert decay.tail(k) < 1e-6
     assert decay.tail(k - 1) >= 1e-6
+
+
+def test_power_law_near_one_keeps_the_whole_history():
+    # the tail past any float-representable lag is still above the tolerance
+    m = InarModel(IMM, PoissonOffspring(PowerLawDecay(c=0.02, a=1.02)))
+    with pytest.raises(ConfigError):
+        effective_horizon(m, TRUNCATION_TOL)
+    assert history_window(m, 100) == 99
+    assert len(tilt_recursion(m, -0.1, 100).values) == 100
+    assert len(simulate(m, 100, RandomStream(seed=3))) == 100
+
+
+# Per fixture: (mu, sigma2) from E[eps] / (1 - mean_l1) and
+# (E[eps] var_l1 + Var[eps] (1 - mean_l1)) / (1 - mean_l1)**3
+LIMIT_CONSTANTS = {
+    "hawkes": (2.0, 8.0),
+    "bernoulli_ar1": (5.0 / 6.0, 1.25),
+    "two_lag": (1.25, 0.3075 / 0.064),
+    "finite_mix": (1.5, 0.69 / 0.216),
+    "pure_immigration": (1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_CONSTANTS))
+def test_validate_reports_limit_constants(name, request):
+    report = validate(request.getfixturevalue(name))
+    mu, sigma2 = LIMIT_CONSTANTS[name]
+    assert report.mu == pytest.approx(mu, rel=1e-14)
+    assert report.sigma2 == pytest.approx(sigma2, rel=1e-14)
+
+
+def test_validate_limit_constants_infinite_when_supercritical():
+    report = validate(InarModel(IMM, PoissonOffspring(GeometricDecay(0.6, 0.5))))
+    assert report.mu == report.sigma2 == math.inf
 
 
 def test_model_spec_round_trip(hawkes, bernoulli_ar1):
