@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +166,27 @@ def test_validate_oracle_and_cesaro(b1_path, tmp_path, capsys):
     reports = json.loads(capsys.readouterr().out)
     assert reports[0]["theorem"] == "cesaro"
     assert reports[0]["passed"] is True
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _without_runtime(text: str) -> str:
+    return re.sub(r'"runtime_seconds": [0-9.e+-]+', '"runtime_seconds": 0', text)
+
+
+def test_validate_cesaro_oracle_outputs_pinned(b1_path, tmp_path, capsys):
+    """Every output of the deterministic checks on the AR(1) fixture, apart from runtimes."""
+    golden = GOLDEN / "ar1_cesaro_oracle"
+    prefix = str(tmp_path / "rep")
+    code = main(["validate", "--model", b1_path, "--checks", "cesaro,oracle", "--seed", "1",
+                 "--out", prefix])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert _without_runtime(captured.out) == (golden / "stdout.json").read_text()
+    assert captured.err == (golden / "stderr.txt").read_text()
+    for name in ("rep.cesaro.json", "rep.oracle.json", "rep.summary.csv", "rep.oracle_law.csv"):
+        assert _without_runtime((tmp_path / name).read_text()) == (golden / name).read_text(), name
 
 
 def test_validate_exit_1_on_failure(h1_path, tmp_path):

@@ -113,6 +113,24 @@ def test_cesaro_exact_without_offspring(pure_immigration):
     assert chk.pairs() == [(1.0, 1.0), (1.0, 1.0), (0.0, 0.0)]
 
 
+# Cesaro means and limits at n = 2000, pinned bitwise
+CESARO_PAIRS_2000 = {
+    "bernoulli_ar1": [(1.6661111111111113, 1.6666666666666667), (2.776190476190476, 2.7777777777777777),
+                      (0.5547751322751321, 0.5555555555555556)],
+    "hawkes": [(1.997999999996444, 2.0), (3.9931428571286323, 4.0), (1.9925714285572307, 2.0)],
+    "two_lag": [(2.49734375, 2.5), (6.239115767045451, 6.249999999999999),
+                (3.2307429643110774, 3.242187499999999)],
+    "finite_mix": [(1.6661111111111113, 1.6666666666666667), (2.776190476190476, 2.7777777777777777),
+                   (1.0170877425044094, 1.0185185185185188)],
+    "pure_immigration": [(1.0, 1.0), (1.0, 1.0), (0.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CESARO_PAIRS_2000))
+def test_cesaro_pairs_pinned(name, request):
+    assert cesaro_check(request.getfixturevalue(name), 2000).pairs() == CESARO_PAIRS_2000[name]
+
+
 def test_mdp_schedule_validation():
     with pytest.raises(ConfigError):
         MdpSchedule(beta=0.5, horizons=(100,))
