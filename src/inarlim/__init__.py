@@ -40,7 +40,6 @@ from .simulate import (
     simulate_batch,
 )
 from .recursions import (
-    CesaroCheck,
     GbarTables,
     MdpSchedule,
     MgfRecursion,
@@ -67,10 +66,12 @@ from .asymptotics import (
 from .oracle import ExactLaw, enumerate_sum_distribution, oracle_log_mgf, oracle_moments
 from .montecarlo import (
     ValidationReport,
+    validate_cesaro,
     validate_clt,
     validate_gamma,
     validate_lln,
     validate_mdp,
+    validate_oracle,
 )
 
 __version__ = "0.1.0"

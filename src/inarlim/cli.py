@@ -13,20 +13,27 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import secrets
 import sys
-import time
 from dataclasses import asdict
 
 from .asymptotics import critical_tilt, ldp_rate, mdp_rate, theory_summary
 from .errors import AssumptionViolation, ConfigError, EnumerationError
 from .model import InarModel, model_from_spec, require_assumptions
-from .montecarlo import ValidationReport, validate_clt, validate_gamma, validate_lln, validate_mdp
-from .oracle import enumerate_sum_distribution, oracle_log_mgf
-from .recursions import MdpSchedule, cesaro_check, gbar_tables, log_mgf_exact, mdp_mgf_curve, tilt_recursion
+from .montecarlo import (
+    validate_cesaro,
+    validate_clt,
+    validate_gamma,
+    validate_lln,
+    validate_mdp,
+    validate_oracle,
+)
+from .oracle import enumerate_sum_distribution
+from .recursions import MdpSchedule, gbar_tables, mdp_mgf_curve, tilt_recursion
 from .simulate import RandomStream, simulate, simulate_batch
 
 __all__ = ["main"]
@@ -35,10 +42,6 @@ EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
-
-ORACLE_THETA_GRID = (-1.0, -0.3, 0.0, 0.4, math.log(2.0))
-ORACLE_TOL = 1e-10
-CESARO_REL_TOL = 0.01
 
 
 def _seed(args: argparse.Namespace) -> tuple:
@@ -156,7 +159,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_gamma(args: argparse.Namespace, seed: int) -> ValidationReport:
+def _check_gamma(args: argparse.Namespace, seed: int):
     if args.theta_grid:
         grid = args.theta_grid
     else:
@@ -165,63 +168,12 @@ def _check_gamma(args: argparse.Namespace, seed: int) -> ValidationReport:
     return validate_gamma(args.model, grid, args.n or 1000, args.reps or 2000, seed)
 
 
-def _check_cesaro(args: argparse.Namespace, seed: int) -> ValidationReport:
-    """Deterministic: Cesaro means of the expansion tables against their limits."""
-    start = time.perf_counter()
-    n = args.n or 100_000
-    chk = cesaro_check(args.model, n)
-    rel = [abs(e - l) / abs(l) if l != 0.0 else abs(e) for e, l in chk.pairs()]
-    return ValidationReport(
-        theorem="cesaro",
-        model_fingerprint=args.model.fingerprint(),
-        n=n,
-        reps=0,
-        seed=0,
-        statistics={
-            "g1_mean": chk.g1_mean,
-            "g1_sq_mean": chk.g1_sq_mean,
-            "g2_mean": chk.g2_mean,
-            "relative_errors": rel,
-        },
-        targets={
-            "g1_limit": chk.g1_limit,
-            "g1_sq_limit": chk.g1_sq_limit,
-            "g2_limit": chk.g2_limit,
-            "relative_tolerance": CESARO_REL_TOL,
-        },
-        passed=bool(all(r < CESARO_REL_TOL for r in rel)),
-        runtime_seconds=time.perf_counter() - start,
-    )
-
-
-def _check_oracle(args: argparse.Namespace, seed: int) -> ValidationReport:
-    """Deterministic: the tilt recursion against the oracle DP for every n up to --n."""
-    start = time.perf_counter()
-    n_max = args.n or 4
-    points = []
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        for theta in ORACLE_THETA_GRID:
-            a = oracle_log_mgf(args.model, theta, n)
-            b = log_mgf_exact(args.model, theta, n)
-            gap = abs(a - b)
-            worst = max(worst, gap)
-            points.append({"n": n, "theta": theta, "gap": gap})
+def _check_oracle(args: argparse.Namespace, seed: int):
+    report = validate_oracle(args.model, args.n or 4)
     if args.out is not None:
-        law = enumerate_sum_distribution(args.model, n_max)
-        rows = sorted(law.probs.items())
+        rows = sorted(enumerate_sum_distribution(args.model, report.n).probs.items())
         _write_text(f"{args.out}.oracle_law.csv", _csv_text(["s", "prob"], rows))
-    return ValidationReport(
-        theorem="oracle",
-        model_fingerprint=args.model.fingerprint(),
-        n=n_max,
-        reps=0,
-        seed=0,
-        statistics={"worst_gap": worst, "points": points},
-        targets={"tolerance": ORACLE_TOL},
-        passed=bool(worst < ORACLE_TOL),
-        runtime_seconds=time.perf_counter() - start,
-    )
+    return report
 
 
 # Check name -> (arguments, seed) -> report.  The deterministic checks ignore the seed.
@@ -237,7 +189,7 @@ CHECKS = {
         seed=seed,
     ),
     "gamma": _check_gamma,
-    "cesaro": _check_cesaro,
+    "cesaro": lambda args, seed: validate_cesaro(args.model, args.n or 100_000),
     "oracle": _check_oracle,
 }
 
@@ -296,6 +248,7 @@ def cmd_recursion(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inarlim",
@@ -346,6 +299,10 @@ def main(argv=None) -> int:
             text = getattr(args, dest, None)
             if text is not None:
                 setattr(args, dest, parse(text, "--" + dest.replace("_", "-")))
+        for flag in ("n", "reps"):
+            value = getattr(args, flag)
+            if value is not None and value < 1:
+                raise ConfigError(f"--{flag} must be at least 1, got {value}")
         return args.run(args)
     except (ConfigError, EnumerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

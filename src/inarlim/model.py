@@ -290,9 +290,6 @@ class PoissonOffspring:
 
     decay: DecayLaw
 
-    def law(self, k: int) -> Poisson:
-        return Poisson(lam=float(self.decay.coefficients(k)[k - 1]))
-
     def mean_decay(self) -> DecayLaw:
         return self.decay
 

@@ -1,8 +1,12 @@
-"""Empirical validation of the limit theorems from simulated batches.
+"""The six checks of the limit theory, each returning a ``ValidationReport``.
 
-Each check simulates a seeded batch, compares an empirical statistic with
-its theoretical target, and returns a self-auditing report: the verdict is
-re-derivable from the stored numbers alone.
+Four are empirical: ``validate_lln``, ``validate_clt``, ``validate_mdp`` and
+``validate_gamma`` simulate a seeded batch and compare a statistic with its
+theoretical target.  Two are deterministic and draw nothing:
+``validate_cesaro`` compares the Cesaro means of the expansion tables with
+their closed-form limits, and ``validate_oracle`` compares the tilt
+recursion with the exact enumerated law.  Every report is self-auditing:
+the verdict is re-derivable from the stored numbers alone.
 
 Deep large-deviation tails are deliberately NOT estimated by naive Monte
 Carlo (they decay exponentially in n and are unreachable at desk scale);
@@ -25,7 +29,8 @@ from .asymptotics import clt_variance, critical_tilt, limit_cgf, lln_mean, mdp_r
 from .distributions import log_sum_exp
 from .errors import InsufficientTailMass
 from .model import InarModel, require_assumptions
-from .recursions import log_mgf_exact
+from .oracle import enumerate_sum_distribution
+from .recursions import gbar_tables, log_mgf_exact
 from .simulate import RandomStream, simulate
 
 __all__ = [
@@ -34,8 +39,13 @@ __all__ = [
     "validate_clt",
     "validate_mdp",
     "validate_gamma",
+    "validate_cesaro",
+    "validate_oracle",
     "KS_CRITICAL_SCALE",
     "MDP_BAND",
+    "CESARO_REL_TOL",
+    "ORACLE_TOL",
+    "ORACLE_THETA_GRID",
 ]
 
 KS_CRITICAL_SCALE = 1.95  # asymptotic one-sample critical value at level 0.001
@@ -44,6 +54,9 @@ MDP_BAND = (0.6, 1.4)  # wide band: tail log-asymptotics converge logarithmicall
 MDP_MIN_EXPECTED_TAIL = 50.0
 GAMMA_DETERMINISTIC_N = 100_000
 GAMMA_DETERMINISTIC_TOL = 1e-3
+CESARO_REL_TOL = 0.01
+ORACLE_TOL = 1e-10
+ORACLE_THETA_GRID = (-1.0, -0.3, 0.0, 0.4, math.log(2.0))
 
 
 @dataclass
@@ -58,6 +71,25 @@ class ValidationReport:
     passed: bool
     runtime_seconds: float
     notes: dict = field(default_factory=dict)
+
+
+def _report(
+    theorem: str, m: InarModel, n: int, reps: int, seed: int, start: float,
+    statistics: dict, targets: dict, passed: bool, notes: dict | None = None,
+) -> ValidationReport:
+    """The one place reports are built; the runtime is measured from ``start``."""
+    return ValidationReport(
+        theorem=theorem,
+        model_fingerprint=m.fingerprint(),
+        n=n,
+        reps=reps,
+        seed=seed,
+        statistics=statistics,
+        targets=targets,
+        passed=bool(passed),
+        runtime_seconds=time.perf_counter() - start,
+        notes=notes or {},
+    )
 
 
 def normal_sf(z: float) -> float:
@@ -92,17 +124,11 @@ def validate_lln(m: InarModel, n: int, reps: int, seed: int, mu_override=None) -
     sums = _batch_sums(m, n, reps, seed)
     mean = float(sums.mean()) / n
     band = 4.0 * math.sqrt(sigma2 / (n * reps))
-    passed = abs(mean - mu) <= band
-    return ValidationReport(
-        theorem="lln",
-        model_fingerprint=m.fingerprint(),
-        n=n,
-        reps=reps,
-        seed=seed,
+    return _report(
+        "lln", m, n, reps, seed, start,
         statistics={"mean_sn_over_n": mean, "abs_error": abs(mean - mu), "band": band},
         targets={"mu": mu},
-        passed=bool(passed),
-        runtime_seconds=time.perf_counter() - start,
+        passed=abs(mean - mu) <= band,
     )
 
 
@@ -122,16 +148,11 @@ def validate_clt(
     z = (sums - n * mu) / math.sqrt(n * sigma2)
     ks = ks_statistic_normal(np.sort(z))
     threshold = KS_CRITICAL_SCALE / math.sqrt(reps)
-    return ValidationReport(
-        theorem="clt",
-        model_fingerprint=m.fingerprint(),
-        n=n,
-        reps=reps,
-        seed=seed,
+    return _report(
+        "clt", m, n, reps, seed, start,
         statistics={"ks_statistic": ks, "threshold": threshold},
         targets={"mu": mu, "sigma2": sigma2},
-        passed=bool(ks < threshold),
-        runtime_seconds=time.perf_counter() - start,
+        passed=ks < threshold,
     )
 
 
@@ -155,6 +176,8 @@ def validate_mdp(
         raise ValueError(f"beta must lie strictly between 0.5 and 1, got {beta}")
     if x <= 0.0:
         raise ValueError(f"tail threshold must be positive, got {x}")
+    if n < 1:
+        raise ValueError(f"horizon must be at least 1, got {n}")
     start = time.perf_counter()
     p_pred = predicted_tail_probability(m, x, beta, n)
     if reps is None:
@@ -174,12 +197,8 @@ def validate_mdp(
     p_hat = tail_count / reps
     r_hat = -(n / c**2) * math.log(p_hat) if p_hat > 0.0 else math.inf
     lo, hi = MDP_BAND[0] * target, MDP_BAND[1] * target
-    return ValidationReport(
-        theorem="mdp",
-        model_fingerprint=m.fingerprint(),
-        n=n,
-        reps=reps,
-        seed=seed,
+    return _report(
+        "mdp", m, n, reps, seed, start,
         statistics={
             "x": x,
             "beta": beta,
@@ -192,8 +211,7 @@ def validate_mdp(
             "band_high": hi,
         },
         targets={"rate": target},
-        passed=bool(lo <= r_hat <= hi),
-        runtime_seconds=time.perf_counter() - start,
+        passed=lo <= r_hat <= hi,
         notes={
             "band": "the [0.6, 1.4] acceptance band is an engineering choice; "
             "finite-horizon tail log-asymptotics converge only logarithmically"
@@ -213,6 +231,8 @@ def validate_gamma(
     """
     start = time.perf_counter()
     theta_grid = [float(t) for t in theta_grid]
+    if not theta_grid:
+        raise ValueError("tilt grid must be nonempty")
     tc, _ = critical_tilt(m)
     for theta in theta_grid:
         if theta > 0.5 * tc:
@@ -251,18 +271,61 @@ def validate_gamma(
                 "passed": bool(ok),
             }
         )
-    return ValidationReport(
-        theorem="gamma",
-        model_fingerprint=m.fingerprint(),
-        n=n,
-        reps=reps,
-        seed=seed,
+    return _report(
+        "gamma", m, n, reps, seed, start,
         statistics={"points": points},
         targets={"deterministic_tolerance": GAMMA_DETERMINISTIC_TOL},
-        passed=bool(all_ok),
-        runtime_seconds=time.perf_counter() - start,
+        passed=all_ok,
         notes={
             "deterministic_crosscheck": f"exact scaled log-MGF at n={GAMMA_DETERMINISTIC_N} "
             "compared with the limit at every grid tilt"
         },
+    )
+
+
+def validate_cesaro(m: InarModel, n: int) -> ValidationReport:
+    """Deterministic: Cesaro means of the expansion tables against their closed-form limits."""
+    start = time.perf_counter()
+    tables = gbar_tables(m, n)
+    pairs = tables.pairs()
+    rel = [abs(e - lim) / abs(lim) if lim != 0.0 else abs(e) for e, lim in pairs]
+    (g1_mean, _), (g1_sq_mean, _), (g2_mean, _) = pairs
+    return _report(
+        "cesaro", m, n, 0, 0, start,
+        statistics={
+            "g1_mean": g1_mean,
+            "g1_sq_mean": g1_sq_mean,
+            "g2_mean": g2_mean,
+            "relative_errors": rel,
+        },
+        targets={
+            "g1_limit": tables.g1_limit,
+            "g1_sq_limit": tables.g1_sq_limit,
+            "g2_limit": tables.g2_limit,
+            "relative_tolerance": CESARO_REL_TOL,
+        },
+        passed=all(r < CESARO_REL_TOL for r in rel),
+    )
+
+
+def validate_oracle(m: InarModel, n: int) -> ValidationReport:
+    """Deterministic: the tilt recursion against the enumerated exact law at every horizon up to n.
+
+    Needs a bounded model small enough to enumerate (``EnumerationError`` otherwise).
+    """
+    if n < 1:
+        raise ValueError(f"horizon must be at least 1, got {n}")
+    start = time.perf_counter()
+    points = []
+    for k in range(1, n + 1):
+        law = enumerate_sum_distribution(m, k)
+        for theta in ORACLE_THETA_GRID:
+            gap = abs(law.log_mgf(theta) - log_mgf_exact(m, theta, k))
+            points.append({"n": k, "theta": theta, "gap": gap})
+    worst = max(p["gap"] for p in points)
+    return _report(
+        "oracle", m, n, 0, 0, start,
+        statistics={"worst_gap": worst, "points": points},
+        targets={"tolerance": ORACLE_TOL},
+        passed=worst < ORACLE_TOL,
     )

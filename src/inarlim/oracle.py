@@ -35,12 +35,11 @@ class ExactLaw:
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise RuntimeError(f"enumerated probabilities sum to {total}, not 1")
 
-    def support(self) -> np.ndarray:
-        return np.array(sorted(self.probs), dtype=np.int64)
-
-    def prob_array(self) -> tuple:
-        support = self.support()
-        return support, np.array([self.probs[int(s)] for s in support])
+    def log_mgf(self, theta: float) -> float:
+        """log E[exp(theta * S)] under this law."""
+        support = sorted(self.probs)
+        probs = np.array([self.probs[s] for s in support])
+        return log_sum_exp(theta * np.array(support, dtype=np.float64), probs)
 
     def total_variation(self, other: dict) -> float:
         keys = set(self.probs) | set(other)
@@ -148,14 +147,12 @@ def enumerate_sum_distribution(m: InarModel, n: int) -> ExactLaw:
 
 def oracle_log_mgf(m: InarModel, theta: float, n: int) -> float:
     """log E[exp(theta * S_n)] from the enumerated exact law."""
-    law = enumerate_sum_distribution(m, n)
-    support, probs = law.prob_array()
-    return log_sum_exp(theta * support.astype(np.float64), probs)
+    return enumerate_sum_distribution(m, n).log_mgf(theta)
 
 
 def oracle_moments(m: InarModel, n: int) -> tuple:
     """Exact (mean, variance) of S_n from the enumerated law."""
     law = enumerate_sum_distribution(m, n)
     mean = math.fsum(s * p for s, p in law.probs.items())
-    second = math.fsum(s * s * p for s, p in law.probs.items())
-    return mean, second - mean * mean
+    # centred, so a law near a point mass keeps its small variance
+    return mean, math.fsum((s - mean) ** 2 * p for s, p in law.probs.items())

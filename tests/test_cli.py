@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,6 +190,54 @@ def test_validate_cesaro_oracle_outputs_pinned(b1_path, tmp_path, capsys):
     assert captured.err == (golden / "stderr.txt").read_text()
     for name in ("rep.cesaro.json", "rep.oracle.json", "rep.summary.csv", "rep.oracle_law.csv"):
         assert _without_runtime((tmp_path / name).read_text()) == (golden / name).read_text(), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--checks", "oracle", "--n", "-3"],
+        ["validate", "--checks", "oracle", "--n", "0"],
+        ["validate", "--checks", "lln", "--n", "-3"],
+        ["validate", "--checks", "cesaro", "--n", "-3"],
+        ["validate", "--checks", "lln", "--reps", "-2"],
+        ["validate", "--checks", "lln", "--reps", "0"],
+        ["simulate", "--n", "0"],
+        ["recursion", "--n", "-1"],
+        ["theory", "--n", "0"],
+    ],
+    ids=["oracle-n-negative", "oracle-n-zero", "lln-n-negative", "cesaro-n-negative",
+         "reps-negative", "reps-zero", "simulate-n-zero", "recursion-n-negative", "theory-n-zero"],
+)
+def test_sizes_below_one_exit_2_before_model_computation(tmp_path, capsys, argv):
+    # the supercritical model would exit 3 if it were examined first
+    path = tmp_path / "super.json"
+    path.write_text(json.dumps(SUPERCRITICAL_SPEC))
+    assert main(argv + ["--model", str(path), "--seed", "1"]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_nothing_carries_over_between_calls(b1_path, tmp_path, capsys):
+    prefix = tmp_path / "first"
+    assert main(["validate", "--model", b1_path, "--checks", "oracle", "--n", "3",
+                 "--format", "csv", "--out", str(prefix)]) == 0
+    written = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    argv = ["validate", "--model", b1_path, "--checks", "lln", "--n", "50", "--reps", "5",
+            "--seed", "5"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert sorted(tmp_path.iterdir()) == written
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    fresh = subprocess.run(
+        [sys.executable, "-m", "inarlim.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert code == fresh.returncode
+    assert _without_runtime(captured.out) == _without_runtime(fresh.stdout)
+    assert captured.err == fresh.stderr
 
 
 def test_validate_exit_1_on_failure(h1_path, tmp_path):

@@ -3,13 +3,16 @@ import math
 import pytest
 
 from inarlim import (
+    EnumerationError,
     InsufficientTailMass,
     clt_variance,
     lln_mean,
+    validate_cesaro,
     validate_clt,
     validate_gamma,
     validate_lln,
     validate_mdp,
+    validate_oracle,
 )
 from inarlim.montecarlo import predicted_tail_probability
 
@@ -108,3 +111,34 @@ def test_gamma_zero_tilt_trivial(bernoulli_ar1):
 def test_gamma_rejects_large_tilts(hawkes):
     with pytest.raises(ValueError):
         validate_gamma(hawkes, theta_grid=(0.15,), n=500, reps=600, seed=SEED)
+
+
+def test_cesaro_check_passes_at_long_horizons_and_fails_at_short_ones(bernoulli_ar1):
+    report = validate_cesaro(bernoulli_ar1, 30_000)
+    assert report.passed and report.theorem == "cesaro"
+    assert (report.n, report.reps, report.seed) == (30_000, 0, 0)
+    assert max(report.statistics["relative_errors"]) < report.targets["relative_tolerance"]
+    assert not validate_cesaro(bernoulli_ar1, 20).passed
+
+
+@pytest.mark.parametrize("name", ["bernoulli_ar1", "finite_mix"])
+def test_oracle_check_passes_on_bounded_models(name, request):
+    report = validate_oracle(request.getfixturevalue(name), 4)
+    assert report.passed and report.theorem == "oracle"
+    assert len(report.statistics["points"]) == 4 * 5
+    assert report.statistics["worst_gap"] < report.targets["tolerance"]
+
+
+def test_empirical_checks_refuse_no_work(bernoulli_ar1):
+    with pytest.raises(ValueError, match="horizon"):
+        validate_mdp(bernoulli_ar1, x=1.0, beta=0.6, n=0, reps=100, seed=SEED)
+    with pytest.raises(ValueError, match="tilt grid"):
+        validate_gamma(bernoulli_ar1, [], n=10, reps=10, seed=SEED)
+
+
+def test_oracle_check_needs_a_bounded_model_and_a_horizon(hawkes, bernoulli_ar1):
+    with pytest.raises(EnumerationError):
+        validate_oracle(hawkes, 4)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            validate_oracle(bernoulli_ar1, n)

@@ -54,6 +54,15 @@ def test_oracle_moments(bernoulli_ar1):
     assert var > 0
 
 
+def test_oracle_variance_near_a_point_mass():
+    # two near-certain immigrants and no offspring at n = 1: Var S_1 = 2 p (1 - p)
+    p = 0.9999999999999999
+    m = InarModel(Binomial(2, p), ExplicitOffspring((Bernoulli(0.5),)))
+    mean, var = oracle_moments(m, 1)
+    assert mean == pytest.approx(2 * p, rel=1e-15)
+    assert var == pytest.approx(2 * p * (1 - p), rel=1e-12)
+
+
 def test_scaled_mean_trends_to_lln_limit(bernoulli_ar1):
     # mean of S_n / n creeps toward the long-run mean 5/6 as n grows
     gaps = []
@@ -152,7 +161,6 @@ def test_recursions_match_the_oracle_on_random_bounded_models(m, n):
     tables = gbar_tables(m, n)
     eps_mean, eps_var = m.immigration.mean(), m.immigration.variance()
     assert eps_mean * tables.sum_g1 == pytest.approx(mean, rel=1e-12, abs=1e-300)
-    # the oracle's variance is E[S_n^2] - (E S_n)^2, so it is exact only to rounding of E[S_n^2]
     assert eps_var * tables.sum_g1_sq + 2.0 * eps_mean * tables.sum_g2 == pytest.approx(
-        var, rel=1e-12, abs=1e-12 * (var + mean**2)
+        var, rel=1e-12, abs=1e-300
     )
