@@ -185,7 +185,11 @@ def clt_variance(m: InarModel) -> float:
 
 def mdp_rate(m: InarModel, x: float) -> float:
     """Moderate-deviation rate x^2 / (2 sigma^2)."""
-    sigma2 = clt_variance(m)
+    return quadratic_rate(x, clt_variance(m))
+
+
+def quadratic_rate(x: float, sigma2: float) -> float:
+    """x^2 / (2 sigma2): the moderate-deviation rate of a model with CLT variance sigma2."""
     if sigma2 == 0.0:
         raise ValueError(
             "degenerate model: immigration and offspring are all constant, "
@@ -284,7 +288,7 @@ class TheorySummary:
         return ldp_rate(self.model, x)
 
     def mdp_rate(self, x: float) -> float:
-        return mdp_rate(self.model, x)
+        return quadratic_rate(x, self.sigma2)
 
 
 def theory_summary(m: InarModel) -> TheorySummary:

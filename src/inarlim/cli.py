@@ -21,18 +21,17 @@ import secrets
 import sys
 from dataclasses import asdict
 
-from .asymptotics import critical_tilt, ldp_rate, mdp_rate, theory_summary
+from .asymptotics import critical_tilt, theory_summary
 from .errors import AssumptionViolation, ConfigError, EnumerationError
 from .model import InarModel, model_from_spec, require_assumptions
 from .montecarlo import (
+    oracle_report_and_law,
     validate_cesaro,
     validate_clt,
     validate_gamma,
     validate_lln,
     validate_mdp,
-    validate_oracle,
 )
-from .oracle import enumerate_sum_distribution
 from .recursions import MdpSchedule, gbar_tables, mdp_mgf_curve, tilt_recursion
 from .simulate import RandomStream, simulate, simulate_batch
 
@@ -133,8 +132,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
         "theta_c_attained": summary.theta_c_attained,
         "offspring_mean_l1": summary.offspring_mean_l1,
         "offspring_var_l1": summary.offspring_var_l1,
-        "I": [{"x": x, "value": ldp_rate(args.model, x)} for x in x_grid],
-        "J": [{"x": x, "value": mdp_rate(args.model, x)} for x in x_grid],
+        "I": [{"x": x, "value": summary.ldp_rate(x)} for x in x_grid],
+        "J": [{"x": x, "value": summary.mdp_rate(x)} for x in x_grid],
     }
     _write_text(args.out, json.dumps(_jsonable(payload), indent=2) + "\n")
     return EXIT_OK
@@ -169,9 +168,9 @@ def _check_gamma(args: argparse.Namespace, seed: int):
 
 
 def _check_oracle(args: argparse.Namespace, seed: int):
-    report = validate_oracle(args.model, args.n or 4)
+    report, law = oracle_report_and_law(args.model, args.n or 4)
     if args.out is not None:
-        rows = sorted(enumerate_sum_distribution(args.model, report.n).probs.items())
+        rows = sorted(law.probs.items())
         _write_text(f"{args.out}.oracle_law.csv", _csv_text(["s", "prob"], rows))
     return report
 

@@ -364,14 +364,15 @@ class FiniteSupport(CountDistribution):
         return float(np.dot(v * v, self.probs)) - m * m
 
     def log_mgf(self, t: float) -> float:
-        if math.isinf(t):
-            # the limit is set by the extreme support point in the direction of t
+        if math.isinf(t * len(self.probs)):
+            # |t| is so large that t * k would overflow: only the extreme support
+            # point k in the direction of t counts, and the others add exactly 0
             k = self.support_max() if t > 0 else self.support_min()
-            return math.log(self.probs[0]) if k == 0 else t
+            return t * k + math.log(self.probs[k]) if k else math.log(self.probs[0])
         return log_sum_exp(t * self._values(), self.probs)
 
     def log_mgf_prime(self, t: float) -> float:
-        if math.isinf(t):
+        if math.isinf(t * len(self.probs)):
             return float(self.support_max() if t > 0 else self.support_min())
         # the mean under the tilted law, whose weights exp(log p_k + t k - log_mgf(t)) are
         # at most 1, taken over the positive p_k only

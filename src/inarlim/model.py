@@ -6,10 +6,17 @@ list means zero offspring) or a Poisson family whose per-lag means follow
 a decay law.  Construction validates structure only; the standing
 assumptions (subcriticality etc.) are checked by :func:`validate` so that
 violating models can still be inspected and reported on.
+
+Each offspring sequence also steps the tilt recursion of ``recursions``:
+``tilt_stepper(n, window)`` returns ``(step, lags)``, where
+``step(k, f_{k-1})``, called for k = 1, 2, ... in order, gives the sum
+over lags i of log E[exp(f_{k-i} xi_i)], and ``lags`` is how many lags
+that sum reaches back at most.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import json
@@ -19,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .distributions import CountDistribution, Poisson, dist_from_spec, spec_value
+from .distributions import CountDistribution, Poisson, _safe_expm1, dist_from_spec, spec_value
 from .errors import AssumptionViolation, ConfigError
 
 __all__ = [
@@ -93,6 +100,45 @@ def hurwitz_zeta(x: float, q: float) -> float:
     return s
 
 
+def _no_offspring(k: int, last: float) -> float:
+    """Tilt step of an offspring sequence that produces nothing."""
+    return 0.0
+
+
+class _WindowedDecay:
+    """A decay law without a short recurrence: the Poisson tilt step sums over the window."""
+
+    def poisson_tilt_stepper(self, n: int, window: int) -> tuple:
+        """Step sum_i alpha_i expm1(f_{k-i}) over lags 1..min(k, window), as one dot product.
+
+        The tilts' expm1 values are kept in an array of length n, and the
+        coefficients are reversed so each step is one contiguous dot.
+        """
+        alpha_rev = np.ascontiguousarray(self.coefficients(window)[::-1])
+        if not alpha_rev.any():
+            return _no_offspring, window
+        e1 = np.empty(n, dtype=np.float64)
+        overflowed = False
+
+        def step(k: int, last: float) -> float:
+            nonlocal overflowed
+            e = _safe_expm1(last)
+            e1[k - 1] = e
+            if k >= window:
+                x, a = e1[k - window : k], alpha_rev
+            else:
+                x, a = e1[:k], alpha_rev[window - k :]
+            if e == math.inf:
+                overflowed = True
+            if not overflowed:
+                return float(np.dot(x, a))
+            # an infinite expm1 at a lag with zero mean adds 0, where the dot would give nan
+            hit = x == math.inf
+            return math.inf if (a[hit] > 0.0).any() else float(np.dot(np.where(hit, 0.0, x), a))
+
+        return step, window
+
+
 @dataclass(frozen=True)
 class GeometricDecay:
     """Coefficients c * r**(k-1); total mass c / (1 - r)."""
@@ -129,12 +175,33 @@ class GeometricDecay:
         """(exponent a of a witnessing k**(-a) bound, description of the tail)."""
         return 2.0, "geometric decay dominates every polynomial"
 
+    def poisson_tilt_stepper(self, n: int, window: int) -> tuple:
+        """Step s_k = sum_i c r**(i-1) expm1(f_{k-i}) by s_k = r s_{k-1} + c expm1(f_{k-1}).
+
+        One state variable carries the whole history, so no lag is dropped
+        and ``window`` is not needed: each step sums over all k - 1 lags.
+        """
+        if self.c == 0.0:
+            return _no_offspring, n - 1
+        c, r, expm1 = self.c, self.r, math.expm1
+        s = 0.0
+
+        def step(k: int, last: float) -> float:
+            nonlocal s
+            try:
+                s = r * s + c * expm1(last)
+            except OverflowError:
+                s = math.inf
+            return s
+
+        return step, n - 1
+
     def to_spec(self) -> dict:
         return {"type": "geometric", "c": self.c, "r": self.r}
 
 
 @dataclass(frozen=True)
-class PowerLawDecay:
+class PowerLawDecay(_WindowedDecay):
     """Coefficients c * k**(-a) with a > 1; total mass c * zeta(a)."""
 
     c: float
@@ -173,7 +240,7 @@ class PowerLawDecay:
 
 
 @dataclass(frozen=True)
-class FiniteDecay:
+class FiniteDecay(_WindowedDecay):
     """Explicit finite list of nonnegative coefficients, zero beyond."""
 
     values: tuple
@@ -275,6 +342,29 @@ class ExplicitOffspring:
         """log P(one individual has no offspring at any lag)."""
         return math.fsum(math.log(law.pmf(0)) for law in self.laws)
 
+    def tilt_stepper(self, n: int, window: int) -> tuple:
+        """Step sum over lags i = 1..min(k, window) of log E[exp(f_{k-i} xi_i)], in lag order.
+
+        The last ``window`` tilts are kept as Python floats, most recent
+        first; the sum stops as soon as it reaches +inf.
+        """
+        log_mgfs = [law.log_mgf for law in self.laws[:window]]
+        if len(log_mgfs) == 1:
+            only = log_mgfs[0]
+            return (lambda k, last: only(last)), window
+        recent = collections.deque(maxlen=len(log_mgfs))
+
+        def step(k: int, last: float) -> float:
+            recent.appendleft(last)
+            s = 0.0
+            for log_mgf, x in zip(log_mgfs, recent):
+                s += log_mgf(x)
+                if s == math.inf:
+                    break
+            return s
+
+        return step, window
+
     def to_spec(self) -> dict:
         return {"type": "explicit", "laws": [law.to_spec() for law in self.laws]}
 
@@ -323,6 +413,10 @@ class PoissonOffspring:
 
     def log_no_offspring(self) -> float:
         return -self.decay.total()
+
+    def tilt_stepper(self, n: int, window: int) -> tuple:
+        """The decay law's stepper for sum_i alpha_i expm1(f_{k-i}), the Poisson log-MGFs."""
+        return self.decay.poisson_tilt_stepper(n, window)
 
     def to_spec(self) -> dict:
         return {"type": "poisson_family", "decay": self.decay.to_spec()}

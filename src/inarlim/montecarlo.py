@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import clt_variance, critical_tilt, limit_cgf, lln_mean, mdp_rate
+from .asymptotics import clt_variance, critical_tilt, limit_cgf, quadratic_rate
 from .distributions import log_sum_exp
 from .errors import InsufficientTailMass
 from .model import InarModel, require_assumptions
@@ -41,6 +41,7 @@ __all__ = [
     "validate_gamma",
     "validate_cesaro",
     "validate_oracle",
+    "oracle_report_and_law",
     "KS_CRITICAL_SCALE",
     "MDP_BAND",
     "CESARO_REL_TOL",
@@ -158,9 +159,11 @@ def validate_clt(
 
 def predicted_tail_probability(m: InarModel, x: float, beta: float, n: int) -> float:
     """Normal approximation of P((S_n - n mu)/c(n) >= x), used to size batches."""
-    sigma2 = clt_variance(m)
-    c = float(n) ** beta
-    return normal_sf(x * c / math.sqrt(n * sigma2))
+    return _normal_tail(x, beta, n, clt_variance(m))
+
+
+def _normal_tail(x: float, beta: float, n: int, sigma2: float) -> float:
+    return normal_sf(x * float(n) ** beta / math.sqrt(n * sigma2))
 
 
 def validate_mdp(
@@ -179,7 +182,10 @@ def validate_mdp(
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
     start = time.perf_counter()
-    p_pred = predicted_tail_probability(m, x, beta, n)
+    report = require_assumptions(m, labels=("a", "c"))
+    mu = report.mu
+    target = quadratic_rate(x, report.sigma2)
+    p_pred = _normal_tail(x, beta, n, report.sigma2)
     if reps is None:
         if p_pred <= 0.0:
             raise InsufficientTailMass("predicted tail probability underflows to zero")
@@ -189,8 +195,6 @@ def validate_mdp(
             f"expected tail count {reps * p_pred:.1f} below {MDP_MIN_EXPECTED_TAIL:.0f}; "
             f"increase reps (predicted tail probability {p_pred:.2e})"
         )
-    mu = lln_mean(m)
-    target = mdp_rate(m, x)
     c = float(n) ** beta
     sums = _batch_sums(m, n, reps, seed)
     tail_count = int(((sums - n * mu) / c >= x).sum())
@@ -313,6 +317,11 @@ def validate_oracle(m: InarModel, n: int) -> ValidationReport:
 
     Needs a bounded model small enough to enumerate (``EnumerationError`` otherwise).
     """
+    return oracle_report_and_law(m, n)[0]
+
+
+def oracle_report_and_law(m: InarModel, n: int) -> tuple:
+    """``validate_oracle``'s report, with the exact law of S_n it enumerated last."""
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
     start = time.perf_counter()
@@ -323,9 +332,10 @@ def validate_oracle(m: InarModel, n: int) -> ValidationReport:
             gap = abs(law.log_mgf(theta) - log_mgf_exact(m, theta, k))
             points.append({"n": k, "theta": theta, "gap": gap})
     worst = max(p["gap"] for p in points)
-    return _report(
+    report = _report(
         "oracle", m, n, 0, 0, start,
         statistics={"worst_gap": worst, "points": points},
         targets={"tolerance": ORACLE_TOL},
         passed=worst < ORACLE_TOL,
     )
+    return report, law

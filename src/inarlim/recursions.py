@@ -9,8 +9,13 @@ Three deterministic computations drive the noise-free checks:
   with their uniform bounds and Cesaro limits;
 * the moderate-deviation scaled log-MGF curve along a horizon grid.
 
-All offspring sums are truncated at the effective horizon; the discarded
-tail mass is below 1e-12 and far below every test tolerance.
+Each offspring sequence steps the tilt recursion its own way.  A geometric
+Poisson kernel carries the whole history in one running sum, so its
+recursion is exact and untruncated, in O(1) work per step.  Other decay
+laws and explicit lag lists sum over the lags up to the effective horizon;
+the offspring mean mass they discard is below 1e-12, far below every test
+tolerance, and each result reports it with the window used.  The
+expansion tables are truncated the same way for every kernel.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _safe_expm1
 from .errors import ConfigError
-from .model import InarModel, PoissonOffspring, history_window, require_assumptions
+from .model import InarModel, history_window, require_assumptions
 
 __all__ = [
     "MgfRecursion",
@@ -37,72 +41,61 @@ __all__ = [
     "mdp_scaled_limit",
 ]
 
+# Relative margin of the tables' bound checks, in ulps of 1.0 per unit of 1/(1 - mean_l1)
+BOUND_ROUNDING_ULPS = 32
+
 
 @dataclass(frozen=True, eq=False)
 class MgfRecursion:
     """Tilt sequence f_1..f_n and the resulting exact log-MGF of the sum.
 
-    ``values`` is truncated at the step where an offspring log-MGF term
-    diverges; ``log_mgf_total`` is +inf in that case.
+    ``window`` is the number of lags each step sums over at most (n - 1 for
+    a geometric kernel, which keeps the whole history), and
+    ``discarded_tail_mass`` the offspring mean mass past the window when the
+    window is shorter than the history (0.0 otherwise), so below 1e-12.
+    ``diverged_at`` is the first step k whose f_k is infinite, or None;
+    ``values`` then stops before it and ``log_mgf_total`` is +inf.  The total
+    is also +inf when the immigration log-MGF diverges at a finite tilt.
     """
 
     theta: float
     values: np.ndarray
     log_mgf_total: float
+    window: int
+    discarded_tail_mass: float
+    diverged_at: int | None
 
 
 def tilt_recursion(m: InarModel, theta: float, n: int) -> MgfRecursion:
     """Run the tilt recursion for n steps.
 
-    For Poisson offspring the per-step sum collapses to a dot product of
-    the decay coefficients with expm1 of the earlier tilts.
+    The offspring sequence supplies the per-step sum: a running state for a
+    geometric Poisson kernel, a dot product over the window for other decay
+    laws, and each lag's log-MGF for explicit laws.
     """
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
-    w = history_window(m, n)
+    theta = float(theta)
+    step, lags = m.offspring.tilt_stepper(n, history_window(m, n))
+    window = min(lags, n - 1)
+    discarded = 0.0 if window == n - 1 else m.offspring.mean_tail(window)
     f = np.empty(n, dtype=np.float64)
     f[0] = theta
-    diverged_at = None
+    out = memoryview(f)  # item access in Python floats
+    isfinite = math.isfinite
+    last = theta
+    for k in range(1, n):
+        last = theta + step(k, last)
+        if not isfinite(last):
+            return MgfRecursion(theta, f[:k].copy(), math.inf, window, discarded, k + 1)
+        out[k] = last
 
-    poisson_family = isinstance(m.offspring, PoissonOffspring)
-    if poisson_family:
-        alpha_rev = np.ascontiguousarray(m.offspring.decay.coefficients(w)[::-1])
-        no_offspring = not alpha_rev.any()
-        e1 = np.empty(n, dtype=np.float64)
-        e1[0] = _safe_expm1(theta)
-    else:
-        laws = m.offspring.laws[:w]
-        no_offspring = not laws
-
-    if no_offspring:
-        f[:] = theta
-    else:
-        for k in range(1, n):
-            wk = min(k, w)
-            if poisson_family:
-                s = float(np.dot(e1[k - wk : k], alpha_rev[w - wk :]))
-            else:
-                s = 0.0
-                for lag in range(1, wk + 1):
-                    s += laws[lag - 1].log_mgf(f[k - lag])
-                    if s == math.inf:
-                        break
-            val = theta + s
-            if not math.isfinite(val):
-                diverged_at = k
-                break
-            f[k] = val
-            if poisson_family:
-                e1[k] = _safe_expm1(val)
-
-    if diverged_at is not None:
-        return MgfRecursion(
-            theta=theta, values=f[:diverged_at].copy(), log_mgf_total=math.inf
-        )
-
-    # fsum is +inf as soon as one immigration term is
-    total = math.fsum(map(m.immigration.log_mgf, f))
-    return MgfRecursion(theta=theta, values=f, log_mgf_total=total)
+    try:
+        total = math.fsum(map(m.immigration.log_mgf, out))  # +inf as soon as one term is
+    except OverflowError:
+        # a partial sum passed the largest float; the terms are then huge and positive
+        total = math.inf
+    return MgfRecursion(theta, f, total, window, discarded, None)
 
 
 def log_mgf_exact(m: InarModel, theta: float, n: int) -> float:
@@ -120,8 +113,16 @@ class GbarTables:
     g2(k) = sum_i E[xi_i] g2(k-i) + (1/2) sum_i Var[xi_i] g1(k-i)^2 with
     g2(1) = 0.  Both are uniformly bounded by their Cesaro limits, g1_limit
     = 1/(1 - mean_l1) and g2_limit = var_l1 / (2 (1 - mean_l1)^3), and g1^2
-    tends to g1_sq_limit = g1_limit^2; the constructor asserts the bounds on
+    tends to g1_sq_limit = g1_limit^2; ``gbar_tables`` asserts the bounds on
     every entry (a violation is an implementation bug, not data).
+
+    Rounding alone can carry a converged entry a few ulps past its limit:
+    the limits inherit the rounding of 1 - mean_l1, and the renewal sums
+    amplify each step's rounding by up to 1/(1 - mean_l1).  The bounds are
+    therefore checked with a relative margin of BOUND_ROUNDING_ULPS ulps of
+    1.0 divided by 1 - mean_l1; on random subcritical models entries were
+    seen up to 3 ulps past their limits, while a wrong table escapes them
+    by far more.
     """
 
     g1: np.ndarray
@@ -157,21 +158,29 @@ def gbar_tables(m: InarModel, n: int) -> GbarTables:
     g1[0] = 1.0
     g1sq[0] = 1.0
     g2[0] = 0.0
-    for k in range(1, n):
-        wk = min(k, w)
-        lo = k - wk
-        g1[k] = 1.0 + float(np.dot(g1[lo:k], mean_rev[w - wk :]))
-        g1sq[k] = g1[k] * g1[k]
-        g2[k] = float(np.dot(g2[lo:k], mean_rev[w - wk :])) + 0.5 * float(
-            np.dot(g1sq[lo:k], var_rev[w - wk :])
-        )
+    dot = np.dot
+    head = min(w, n)
+    # the window still reaches back to step 1: the coefficients' tail end
+    for k in range(1, head):
+        a = 1.0 + dot(g1[:k], mean_rev[w - k :])
+        g1[k] = a
+        g1sq[k] = a * a
+        g2[k] = dot(g2[:k], mean_rev[w - k :]) + 0.5 * dot(g1sq[:k], var_rev[w - k :])
+    # the whole window
+    for k in range(head, n):
+        lo = k - w
+        a = 1.0 + dot(g1[lo:k], mean_rev)
+        g1[k] = a
+        g1sq[k] = a * a
+        g2[k] = dot(g2[lo:k], mean_rev) + 0.5 * dot(g1sq[lo:k], var_rev)
 
     one_minus = 1.0 - report.mean_l1
     g1_limit = 1.0 / one_minus
     g2_limit = report.var_l1 / (2.0 * one_minus**3)
-    if not (g1 > 0.0).all() or not (g1 <= g1_limit).all():
+    slack = 1.0 + BOUND_ROUNDING_ULPS * math.ulp(1.0) / one_minus
+    if not (g1 > 0.0).all() or not (g1 <= g1_limit * slack).all():
         raise RuntimeError("first-order table escaped its uniform bound (implementation bug)")
-    if not (g2 >= 0.0).all() or not (g2 <= g2_limit).all():
+    if not (g2 >= 0.0).all() or not (g2 <= g2_limit * slack).all():
         raise RuntimeError("second-order table escaped its uniform bound (implementation bug)")
 
     return GbarTables(

@@ -8,6 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import inarlim.cli
+import inarlim.model
+import inarlim.montecarlo
+import inarlim.oracle
+from inarlim import critical_tilt, mdp_rate, model_from_spec
 from inarlim.cli import main
 
 H1_SPEC = {
@@ -49,6 +54,20 @@ def test_theory_constants(h1_path, tmp_path, capsys):
     assert payload["theta_c_attained"] is True
     assert payload["I"][1]["value"] == 0.0
     assert payload["J"][0]["value"] == pytest.approx(0.0625)
+
+
+def test_theory_checks_the_assumptions_once_per_ldp_rate(h1_path, monkeypatch, capsys):
+    m = model_from_spec(H1_SPEC)
+    critical_tilt(m)  # cached from here on
+    calls = []
+    real = inarlim.model.validate
+    monkeypatch.setattr(inarlim.model, "validate", lambda model: calls.append(model) or real(model))
+    assert main(["theory", "--model", h1_path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # the summary, then one per LDP rate; the MDP rates read sigma2 from the summary
+    assert len(payload["I"]) == 8
+    assert len(calls) == 9
+    assert [pt["value"] for pt in payload["J"]] == [mdp_rate(m, pt["x"]) for pt in payload["J"]]
 
 
 def test_theory_round_trip(h1_path, tmp_path):
@@ -169,6 +188,38 @@ def test_validate_oracle_and_cesaro(b1_path, tmp_path, capsys):
     reports = json.loads(capsys.readouterr().out)
     assert reports[0]["theorem"] == "cesaro"
     assert reports[0]["passed"] is True
+
+
+def test_oracle_law_enumerated_once_per_horizon(b1_path, tmp_path, monkeypatch):
+    calls = []
+    real = inarlim.oracle.enumerate_sum_distribution
+    for module in (inarlim.montecarlo, inarlim.cli):
+        monkeypatch.setattr(
+            module, "enumerate_sum_distribution",
+            lambda m, n: calls.append(n) or real(m, n), raising=False,
+        )
+    prefix = str(tmp_path / "rep")
+    assert main(["validate", "--model", b1_path, "--checks", "oracle", "--n", "4",
+                 "--seed", "1", "--out", prefix, "--format", "csv"]) == 0
+    assert calls == [1, 2, 3, 4]
+    assert (tmp_path / "rep.oracle_law.csv").read_text().startswith("s,prob\n")
+
+
+def test_validate_cesaro_on_tables_at_their_limits_within_rounding(tmp_path, capsys):
+    # g2 passes its limit by an ulp here; the bound check allows for rounding
+    spec = {
+        "immigration": {"type": "bernoulli", "p": 0.7311837167794242},
+        "offspring": {"type": "explicit", "laws": [{"type": "bernoulli", "p": 0.3557678206729456}]},
+    }
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(spec))
+    assert main(["validate", "--model", str(path), "--checks", "cesaro", "--seed", "1"]) == 0
+    # at n = 51 the check runs and reports its verdict: the g1 Cesaro mean is 1.08% off,
+    # outside the 1% tolerance
+    capsys.readouterr()
+    assert main(["validate", "--model", str(path), "--checks", "cesaro", "--n", "51",
+                 "--seed", "1", "--format", "csv"]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == "cesaro,51,0,0,0"
 
 
 GOLDEN = Path(__file__).parent / "golden"

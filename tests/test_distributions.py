@@ -135,6 +135,18 @@ def test_log_mgf_limits_at_infinite_tilts(d):
             assert d.log_mgf_prime(t) == pytest.approx(k, rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("probs", [(0.3, 0.5, 0.2), (0.0, 0.5, 0.5), (0.5, 0.5, 0.0)], ids=repr)
+def test_finite_support_quiet_where_t_times_the_support_overflows(probs):
+    # t * 2 overflows; the extreme support point in the direction of t gives the value exactly
+    d = FiniteSupport(probs)
+    lo, hi = d.support_min(), d.support_max()
+    for t in (-1e308, -6e307, 6e307, 1e308):
+        k = hi if t > 0 else lo
+        expected = t * k + math.log(d.pmf(k)) if k else math.log(d.pmf(0))
+        assert d.log_mgf(t) == expected
+        assert d.log_mgf_prime(t) == k
+
+
 def test_pmf_values():
     assert Bernoulli(0.4).pmf(1) == 0.4
     assert Poisson(1.0).pmf(0) == pytest.approx(math.exp(-1), abs=1e-15)

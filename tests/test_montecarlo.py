@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import inarlim.model
 from inarlim import (
     EnumerationError,
     InsufficientTailMass,
@@ -14,6 +15,7 @@ from inarlim import (
     validate_mdp,
     validate_oracle,
 )
+from inarlim.asymptotics import mdp_rate
 from inarlim.montecarlo import predicted_tail_probability
 
 SEED = 11
@@ -142,3 +144,13 @@ def test_oracle_check_needs_a_bounded_model_and_a_horizon(hawkes, bernoulli_ar1)
     for n in (0, -3):
         with pytest.raises(ValueError):
             validate_oracle(bernoulli_ar1, n)
+
+
+def test_validate_mdp_checks_the_assumptions_once(hawkes, monkeypatch):
+    calls = []
+    real = inarlim.model.validate
+    monkeypatch.setattr(inarlim.model, "validate", lambda m: calls.append(m) or real(m))
+    report = validate_mdp(hawkes, x=1.0, beta=0.6, n=100, reps=None, seed=SEED)
+    assert len(calls) == 1
+    assert report.targets["rate"] == mdp_rate(hawkes, 1.0)
+    assert report.statistics["p_predicted"] == predicted_tail_probability(hawkes, 1.0, 0.6, 100)

@@ -7,10 +7,14 @@ from inarlim import (
     Bernoulli,
     ConfigError,
     ExplicitOffspring,
+    FiniteDecay,
     Geometric,
+    GeometricDecay,
     InarModel,
     MdpSchedule,
     Poisson,
+    PoissonOffspring,
+    PowerLawDecay,
     cesaro_check,
     critical_tilt,
     gbar_tables,
@@ -63,6 +67,52 @@ def test_divergent_tilt_reported_as_infinity():
     rec = tilt_recursion(m, 1.2, 4)
     assert rec.log_mgf_total == math.inf
     assert len(rec.values) < 4
+    assert rec.diverged_at == len(rec.values) + 1
+
+
+def test_two_lag_divergence_is_quiet(two_lag):
+    # theta_c = 0.177; past it the tilts grow like Fibonacci numbers until a sum overflows
+    rec = tilt_recursion(two_lag, 0.3, 2000)
+    assert rec.log_mgf_total == math.inf
+    assert rec.diverged_at == len(rec.values) + 1
+    # a horizon ending just before that step: every tilt is finite, the immigration sum is not
+    short = tilt_recursion(two_lag, 0.3, rec.diverged_at - 1)
+    assert short.diverged_at is None
+    assert np.isfinite(short.values).all()
+    assert short.log_mgf_total == math.inf
+
+
+@pytest.mark.parametrize(
+    "decay", [GeometricDecay(0.0, 0.5), PowerLawDecay(0.0, 2.0), FiniteDecay((0.0, 0.0))],
+    ids=["geometric", "power_law", "finite"],
+)
+def test_zero_mass_poisson_family_keeps_the_tilt(decay):
+    # expm1(800) overflows; without offspring it must never be multiplied by a zero mass
+    m = InarModel(Bernoulli(0.5), PoissonOffspring(decay))
+    rec = tilt_recursion(m, 800.0, 50)
+    assert (rec.values == 800.0).all()
+    assert rec.diverged_at is None
+    assert rec.log_mgf_total == 50 * Bernoulli(0.5).log_mgf(800.0)
+
+
+def test_recursion_reports_its_window_and_truncation(hawkes, bernoulli_ar1):
+    # the geometric kernel keeps the whole history, and a lag list fits its window
+    for m, window in ((hawkes, 499), (bernoulli_ar1, 1)):
+        rec = tilt_recursion(m, 0.1, 500)
+        assert (rec.window, rec.discarded_tail_mass, rec.diverged_at) == (window, 0.0, None)
+    heavy = InarModel(Poisson(1.0), PoissonOffspring(PowerLawDecay(c=0.3, a=2.0)))
+    assert tilt_recursion(heavy, 0.1, 500).window == 499
+    steep = InarModel(Poisson(1.0), PoissonOffspring(PowerLawDecay(c=0.3, a=6.0)))
+    rec = tilt_recursion(steep, 0.1, 1000)
+    assert rec.window < 999
+    assert rec.discarded_tail_mass == steep.offspring.mean_tail(rec.window)
+    assert 0.0 < rec.discarded_tail_mass < 1e-12
+
+
+def test_hawkes_log_mgf_exact_at_a_million_steps(hawkes):
+    theta = 0.5 * critical_tilt(hawkes)[0]
+    n = 10**6
+    assert abs(log_mgf_exact(hawkes, theta, n) / n - limit_cgf(hawkes, theta)) < 1e-3
 
 
 def test_tilt_values_increase_and_converge(hawkes, bernoulli_ar1):
@@ -106,6 +156,17 @@ def test_cesaro_limits(bernoulli_ar1, hawkes):
     assert (chk.g1_limit, chk.g1_sq_limit, chk.g2_limit) == (2.0, 4.0, 2.0)
     for empirical, limit in chk.pairs():
         assert empirical == pytest.approx(limit, rel=1e-3)
+
+
+# g2 converges to its limit and passes it by one ulp through rounding alone
+ROUNDING_EDGE = InarModel(Bernoulli(0.7311837167794242), ExplicitOffspring((Bernoulli(0.3557678206729456),)))
+
+
+@pytest.mark.parametrize("n", [51, 2000])
+def test_tables_within_rounding_of_their_limits(n):
+    tables = cesaro_check(ROUNDING_EDGE, n)
+    assert tables.g2_limit < tables.g2.max() <= tables.g2_limit * (1 + 4 * math.ulp(1.0))
+    assert (tables.g1 <= tables.g1_limit).all()
 
 
 def test_cesaro_exact_without_offspring(pure_immigration):
