@@ -50,12 +50,12 @@ class MgfRecursion:
     """Tilt sequence f_1..f_n and the resulting exact log-MGF of the sum.
 
     ``window`` is the number of lags each step sums over at most (n - 1 for
-    a geometric kernel, which keeps the whole history), and
-    ``discarded_tail_mass`` the offspring mean mass past the window when the
-    window is shorter than the history (0.0 otherwise), so below 1e-12.
-    ``diverged_at`` is the first step k whose f_k is infinite, or None;
-    ``values`` then stops before it and ``log_mgf_total`` is +inf.  The total
-    is also +inf when the immigration log-MGF diverges at a finite tilt.
+    a geometric kernel, which keeps the whole history).  When the window is
+    shorter than the history, ``discarded_tail_mass`` is the offspring mean
+    mass past it, below 1e-12; otherwise it is 0.0.  ``diverged_at`` is the
+    first step k whose f_k is infinite, or None; ``values`` then stops
+    before it and ``log_mgf_total`` is +inf.  The total is also +inf when
+    the immigration log-MGF diverges, or overflows, at finite tilts.
     """
 
     theta: float

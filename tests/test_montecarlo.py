@@ -4,7 +4,10 @@ import pytest
 
 import inarlim.model
 from inarlim import (
+    Constant,
     EnumerationError,
+    ExplicitOffspring,
+    InarModel,
     InsufficientTailMass,
     clt_variance,
     lln_mean,
@@ -154,3 +157,10 @@ def test_validate_mdp_checks_the_assumptions_once(hawkes, monkeypatch):
     assert len(calls) == 1
     assert report.targets["rate"] == mdp_rate(hawkes, 1.0)
     assert report.statistics["p_predicted"] == predicted_tail_probability(hawkes, 1.0, 0.6, 100)
+
+
+def test_validate_mdp_refuses_a_degenerate_model():
+    # sigma2 = 0: the rate is undefined, and the normal tail would divide by zero
+    m = InarModel(Constant(2), ExplicitOffspring((Constant(0),)))
+    with pytest.raises(ValueError, match="degenerate model"):
+        validate_mdp(m, x=1.0, beta=0.6, n=100, reps=100, seed=SEED)
