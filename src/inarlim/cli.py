@@ -25,7 +25,7 @@ from .asymptotics import critical_tilt, theory_summary
 from .errors import AssumptionViolation, ConfigError, EnumerationError
 from .model import InarModel, model_from_spec, require_assumptions
 from .montecarlo import (
-    oracle_report_and_law,
+    _oracle_report_and_law,
     validate_cesaro,
     validate_clt,
     validate_gamma,
@@ -168,7 +168,7 @@ def _check_gamma(args: argparse.Namespace, seed: int):
 
 
 def _check_oracle(args: argparse.Namespace, seed: int):
-    report, law = oracle_report_and_law(args.model, args.n or 4)
+    report, law = _oracle_report_and_law(args.model, args.n or 4)
     if args.out is not None:
         rows = sorted(law.probs.items())
         _write_text(f"{args.out}.oracle_law.csv", _csv_text(["s", "prob"], rows))

@@ -349,9 +349,6 @@ class ExplicitOffspring:
         first; the sum stops as soon as it reaches +inf.
         """
         log_mgfs = [law.log_mgf for law in self.laws[:window]]
-        if len(log_mgfs) == 1:
-            only = log_mgfs[0]
-            return (lambda k, last: only(last)), window
         recent = collections.deque(maxlen=len(log_mgfs))
 
         def step(k: int, last: float) -> float:

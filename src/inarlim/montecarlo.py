@@ -41,7 +41,6 @@ __all__ = [
     "validate_gamma",
     "validate_cesaro",
     "validate_oracle",
-    "oracle_report_and_law",
     "KS_CRITICAL_SCALE",
     "MDP_BAND",
     "CESARO_REL_TOL",
@@ -317,10 +316,10 @@ def validate_oracle(m: InarModel, n: int) -> ValidationReport:
 
     Needs a bounded model small enough to enumerate (``EnumerationError`` otherwise).
     """
-    return oracle_report_and_law(m, n)[0]
+    return _oracle_report_and_law(m, n)[0]
 
 
-def oracle_report_and_law(m: InarModel, n: int) -> tuple:
+def _oracle_report_and_law(m: InarModel, n: int) -> tuple:
     """``validate_oracle``'s report, with the exact law of S_n it enumerated last."""
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")

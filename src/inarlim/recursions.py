@@ -93,8 +93,8 @@ def tilt_recursion(m: InarModel, theta: float, n: int) -> MgfRecursion:
     try:
         total = math.fsum(map(m.immigration.log_mgf, out))  # +inf as soon as one term is
     except OverflowError:
-        # a partial sum passed the largest float; the terms are then huge and positive
-        total = math.inf
+        # a partial sum passed the largest float; every term has the sign of the tilt
+        total = math.copysign(math.inf, theta)
     return MgfRecursion(theta, f, total, window, discarded, None)
 
 

@@ -6,6 +6,7 @@ import pytest
 from inarlim import (
     Bernoulli,
     ConfigError,
+    Constant,
     ExplicitOffspring,
     FiniteDecay,
     Geometric,
@@ -80,6 +81,14 @@ def test_two_lag_divergence_is_quiet(two_lag):
     assert short.diverged_at is None
     assert np.isfinite(short.values).all()
     assert short.log_mgf_total == math.inf
+
+
+def test_immigration_sum_overflow_takes_the_sign_of_the_tilt():
+    # immigration of 2 per step: each term is about 2 theta, and their sum passes -max float
+    m = InarModel(Constant(2), ExplicitOffspring((Bernoulli(0.3),)))
+    rec = tilt_recursion(m, -1e306, 1000)
+    assert rec.diverged_at is None
+    assert rec.log_mgf_total == -math.inf
 
 
 @pytest.mark.parametrize(
