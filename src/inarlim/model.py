@@ -349,6 +349,11 @@ class ExplicitOffspring:
         first; the sum stops as soon as it reaches +inf.
         """
         log_mgfs = [law.log_mgf for law in self.laws[:window]]
+        if len(log_mgfs) == 1:
+            # same bits as the loop below (its sum starts at 0.0); the loop's
+            # deque and zip cost an AR(1) about a third of its stepping time
+            only = log_mgfs[0]
+            return (lambda k, last: only(last)), window
         recent = collections.deque(maxlen=len(log_mgfs))
 
         def step(k: int, last: float) -> float:
