@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .spec import Spec, from_spec
 
 __all__ = [
     "CountDistribution",
@@ -67,7 +68,7 @@ def _check_prob(p: float, name: str = "p") -> None:
         raise ConfigError(f"{name} must be a probability in [0, 1], got {p}")
 
 
-class CountDistribution:
+class CountDistribution(Spec, family="distribution"):
     """Base class: shared sampling, plus defaults for the support and log-MGF domain.
 
     ``sample`` draws from the distribution, mutating only the generator
@@ -99,10 +100,12 @@ class Constant(CountDistribution):
     """Point mass at a nonnegative integer."""
 
     value: int
+    SPEC = ("constant", {"value": "value"})
 
     def __post_init__(self):
         if self.value < 0 or self.value != int(self.value):
             raise ConfigError(f"constant value must be a nonnegative integer, got {self.value}")
+        object.__setattr__(self, "value", int(self.value))
 
     def mean(self) -> float:
         return float(self.value)
@@ -122,21 +125,18 @@ class Constant(CountDistribution):
         return 1.0 if k == self.value else 0.0
 
     def support_min(self) -> int:
-        return int(self.value)
+        return self.value
 
     def support_max(self) -> int:
-        return int(self.value)
+        return self.value
 
     def sample(self, rng, size=None):
         if size is None:
-            return int(self.value)
+            return self.value
         return np.full(size, self.value, dtype=np.int64)
 
     def sample_sum(self, rng, count: int) -> int:
-        return int(self.value) * count
-
-    def to_spec(self) -> dict:
-        return {"type": "constant", "value": int(self.value)}
+        return self.value * count
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,13 @@ class Binomial(CountDistribution):
 
     m: int
     p: float
+    SPEC = ("binomial", {"m": "m", "p": "p"})
 
     def __post_init__(self):
         if self.m < 1 or self.m != int(self.m):
             raise ConfigError(f"binomial m must be a positive integer, got {self.m}")
         _check_prob(self.p)
+        object.__setattr__(self, "m", int(self.m))
 
     def mean(self) -> float:
         return self.m * self.p
@@ -190,18 +192,15 @@ class Binomial(CountDistribution):
         return math.exp(logc + k * math.log(self.p) + (self.m - k) * math.log1p(-self.p))
 
     def support_min(self) -> int:
-        return int(self.m) if self.p == 1.0 else 0
+        return self.m if self.p == 1.0 else 0
 
     def support_max(self) -> int:
-        return int(self.m) if self.p > 0 else 0
+        return self.m if self.p > 0 else 0
 
     def sample(self, rng, size=None):
         if size is None:
             return int(rng.binomial(self.m, self.p))
         return rng.binomial(self.m, self.p, size=size).astype(np.int64)
-
-    def to_spec(self) -> dict:
-        return {"type": "binomial", "m": int(self.m), "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -209,6 +208,7 @@ class Bernoulli(Binomial):
     """Bernoulli(p) on {0, 1}: Binomial(1, p), with its own pmf, sampler and spec."""
 
     m: int = field(default=1, init=False, repr=False)
+    SPEC = ("bernoulli", {"p": "p"})
 
     def pmf(self, k: int) -> float:
         if k == 0:
@@ -222,15 +222,13 @@ class Bernoulli(Binomial):
             return int(rng.random() < self.p)
         return (rng.random(size) < self.p).astype(np.int64)
 
-    def to_spec(self) -> dict:
-        return {"type": "bernoulli", "p": self.p}
-
 
 @dataclass(frozen=True)
 class Poisson(CountDistribution):
     """Poisson with mean lam."""
 
     lam: float
+    SPEC = ("poisson", {"lambda": "lam"})
 
     def __post_init__(self):
         if not self.lam >= 0.0:
@@ -273,9 +271,6 @@ class Poisson(CountDistribution):
             return 0
         return int(rng.poisson(self.lam * count))
 
-    def to_spec(self) -> dict:
-        return {"type": "poisson", "lambda": self.lam}
-
 
 @dataclass(frozen=True)
 class Geometric(CountDistribution):
@@ -287,6 +282,7 @@ class Geometric(CountDistribution):
     """
 
     p: float
+    SPEC = ("geometric", {"p": "p"})
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
@@ -332,15 +328,13 @@ class Geometric(CountDistribution):
             return int(rng.geometric(self.p)) - 1
         return (rng.geometric(self.p, size=size) - 1).astype(np.int64)
 
-    def to_spec(self) -> dict:
-        return {"type": "geometric", "p": self.p}
-
 
 @dataclass(frozen=True)
 class FiniteSupport(CountDistribution):
     """Arbitrary law on {0, ..., m} given by its probability vector."""
 
     probs: tuple
+    SPEC = ("finite_support", {"probs": "probs"})
 
     def __post_init__(self):
         probs = tuple(float(q) for q in self.probs)
@@ -401,63 +395,7 @@ class FiniteSupport(CountDistribution):
         draws = np.searchsorted(cum, rng.random(size), side="right")
         return np.minimum(draws, len(self.probs) - 1).astype(np.int64)
 
-    def to_spec(self) -> dict:
-        return {"type": "finite_support", "probs": list(self.probs)}
-
-
-# Spec type -> (class, spec key -> constructor argument)
-_SPEC_TYPES = {
-    "constant": (Constant, {"value": "value"}),
-    "bernoulli": (Bernoulli, {"p": "p"}),
-    "binomial": (Binomial, {"m": "m", "p": "p"}),
-    "poisson": (Poisson, {"lambda": "lam"}),
-    "geometric": (Geometric, {"p": "p"}),
-    "finite_support": (FiniteSupport, {"probs": "probs"}),
-}
-_LIST_KEYS = {
-    "laws": "a list",
-    "probs": "a list of finite numbers",
-    "values": "a list of finite numbers",
-}
-
-
-def spec_value(obj: dict, key: str):
-    """obj[key], checked to be a finite JSON number, or a list for the keys in _LIST_KEYS.
-
-    Python's json reads the Infinity and NaN tokens as floats; they are rejected here.
-    """
-    val = obj[key]
-    number = lambda v: not isinstance(v, bool) and (
-        isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
-    )
-    if key == "laws":
-        ok = isinstance(val, list)
-    elif key in _LIST_KEYS:
-        ok = isinstance(val, list) and all(map(number, val))
-    else:
-        ok = number(val)
-    if not ok:
-        raise ConfigError(f"{key} must be {_LIST_KEYS.get(key, 'a finite number')}, got {val!r}")
-    return val
-
 
 def dist_from_spec(obj) -> CountDistribution:
-    """Build a distribution from its tagged JSON object, rejecting unknown keys."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"distribution spec must be an object, got {type(obj).__name__}")
-    kind = obj.get("type")
-    if kind not in _SPEC_TYPES:
-        raise ConfigError(f"unknown distribution type {kind!r}")
-    cls, args = _SPEC_TYPES[kind]
-    expected = set(args) | {"type"}
-    actual = set(obj)
-    if actual != expected:
-        unknown = sorted(actual - expected)
-        missing = sorted(expected - actual)
-        parts = []
-        if unknown:
-            parts.append(f"unknown keys {unknown}")
-        if missing:
-            parts.append(f"missing keys {missing}")
-        raise ConfigError(f"bad {kind} spec: " + ", ".join(parts))
-    return cls(**{arg: spec_value(obj, key) for key, arg in args.items()})
+    """Build a distribution from its tagged JSON object; see ``spec``."""
+    return from_spec(obj, "distribution")

@@ -21,13 +21,13 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import CountDistribution, Poisson, _safe_expm1, dist_from_spec, spec_value
+from .distributions import CountDistribution, Poisson, _safe_expm1
 from .errors import AssumptionViolation, ConfigError
+from .spec import Spec, from_spec
 
 __all__ = [
     "GeometricDecay",
@@ -105,7 +105,11 @@ def _no_offspring(k: int, last: float) -> float:
     return 0.0
 
 
-class _WindowedDecay:
+class DecayLaw(Spec, family="decay"):
+    """Base class of the per-lag mean laws: coefficients, total, tails and the Poisson tilt step."""
+
+
+class _WindowedDecay(DecayLaw):
     """A decay law without a short recurrence: the Poisson tilt step sums over the window."""
 
     def poisson_tilt_stepper(self, n: int, window: int) -> tuple:
@@ -140,11 +144,12 @@ class _WindowedDecay:
 
 
 @dataclass(frozen=True)
-class GeometricDecay:
+class GeometricDecay(DecayLaw):
     """Coefficients c * r**(k-1); total mass c / (1 - r)."""
 
     c: float
     r: float
+    SPEC = ("geometric", {"c": "c", "r": "r"})
 
     def __post_init__(self):
         if self.c < 0.0:
@@ -196,9 +201,6 @@ class GeometricDecay:
 
         return step, n - 1
 
-    def to_spec(self) -> dict:
-        return {"type": "geometric", "c": self.c, "r": self.r}
-
 
 @dataclass(frozen=True)
 class PowerLawDecay(_WindowedDecay):
@@ -206,6 +208,7 @@ class PowerLawDecay(_WindowedDecay):
 
     c: float
     a: float
+    SPEC = ("power_law", {"c": "c", "a": "a"})
 
     def __post_init__(self):
         if self.c < 0.0:
@@ -235,15 +238,13 @@ class PowerLawDecay(_WindowedDecay):
     def tail_witness(self) -> tuple:
         return self.a, f"power-law decay with exponent {self.a}"
 
-    def to_spec(self) -> dict:
-        return {"type": "power_law", "c": self.c, "a": self.a}
-
 
 @dataclass(frozen=True)
 class FiniteDecay(_WindowedDecay):
     """Explicit finite list of nonnegative coefficients, zero beyond."""
 
     values: tuple
+    SPEC = ("finite_list", {"values": "values"})
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -270,12 +271,6 @@ class FiniteDecay(_WindowedDecay):
     def tail_witness(self) -> tuple:
         return 2.0, "finitely many nonzero lags, tail conditions hold trivially"
 
-    def to_spec(self) -> dict:
-        return {"type": "finite_list", "values": list(self.values)}
-
-
-DecayLaw = Union[GeometricDecay, PowerLawDecay, FiniteDecay]
-
 
 def _fsum_or_inf(terms) -> float:
     """Exact sum of the terms, or +inf as soon as one of them is +inf."""
@@ -287,11 +282,26 @@ def _fsum_or_inf(terms) -> float:
     return math.fsum(kept)
 
 
+class OffspringSequence(Spec, family="offspring"):
+    """Base class of the offspring sequences: the lag means come from ``mean_decay()``."""
+
+    def mean_l1(self) -> float:
+        return self.mean_decay().total()
+
+    def mean_coefficients(self, upto: int) -> np.ndarray:
+        return self.mean_decay().coefficients(upto)
+
+    def mean_tail(self, after: int) -> float:
+        return self.mean_decay().tail(after)
+
+
 @dataclass(frozen=True)
-class ExplicitOffspring:
+class ExplicitOffspring(OffspringSequence):
     """Offspring laws given lag by lag; lags beyond the list produce nothing."""
 
     laws: tuple
+    _means: FiniteDecay = field(init=False, compare=False, repr=False)
+    SPEC = ("explicit", {"laws": "laws"})
 
     def __post_init__(self):
         laws = tuple(self.laws)
@@ -299,28 +309,20 @@ class ExplicitOffspring:
             if not isinstance(law, CountDistribution):
                 raise ConfigError(f"offspring entries must be count distributions, got {law!r}")
         object.__setattr__(self, "laws", laws)
+        object.__setattr__(self, "_means", FiniteDecay(tuple(law.mean() for law in laws)))
 
     def mean_decay(self) -> FiniteDecay:
-        """The per-lag offspring means, as a finite decay law."""
-        return FiniteDecay(tuple(law.mean() for law in self.laws))
-
-    def mean_l1(self) -> float:
-        return self.mean_decay().total()
+        """The per-lag offspring means, as a finite decay law built once."""
+        return self._means
 
     def var_l1(self) -> float:
         return math.fsum(law.variance() for law in self.laws)
-
-    def mean_coefficients(self, upto: int) -> np.ndarray:
-        return self.mean_decay().coefficients(upto)
 
     def var_coefficients(self, upto: int) -> np.ndarray:
         out = np.zeros(upto, dtype=np.float64)
         for k, law in enumerate(self.laws[:upto]):
             out[k] = law.variance()
         return out
-
-    def mean_tail(self, after: int) -> float:
-        return self.mean_decay().tail(after)
 
     def cgf(self, x: float) -> float:
         """sum_k log E[exp(x xi_k)]; +inf past the domain."""
@@ -367,12 +369,9 @@ class ExplicitOffspring:
 
         return step, window
 
-    def to_spec(self) -> dict:
-        return {"type": "explicit", "laws": [law.to_spec() for law in self.laws]}
-
 
 @dataclass(frozen=True)
-class PoissonOffspring:
+class PoissonOffspring(OffspringSequence):
     """Offspring at lag k distributed Poisson(alpha_k), alpha given by a decay law.
 
     Summed over the lags, the offspring of one individual is Poisson with
@@ -381,25 +380,17 @@ class PoissonOffspring:
     """
 
     decay: DecayLaw
+    SPEC = ("poisson_family", {"decay": "decay"})
 
     def mean_decay(self) -> DecayLaw:
         return self.decay
-
-    def mean_l1(self) -> float:
-        return self.decay.total()
 
     def var_l1(self) -> float:
         # Poisson variance equals the mean at every lag.
         return self.decay.total()
 
-    def mean_coefficients(self, upto: int) -> np.ndarray:
-        return self.decay.coefficients(upto)
-
     def var_coefficients(self, upto: int) -> np.ndarray:
         return self.decay.coefficients(upto)
-
-    def mean_tail(self, after: int) -> float:
-        return self.decay.tail(after)
 
     def cgf(self, x: float) -> float:
         return Poisson(self.decay.total()).log_mgf(x)
@@ -420,26 +411,18 @@ class PoissonOffspring:
         """The decay law's stepper for sum_i alpha_i expm1(f_{k-i}), the Poisson log-MGFs."""
         return self.decay.poisson_tilt_stepper(n, window)
 
-    def to_spec(self) -> dict:
-        return {"type": "poisson_family", "decay": self.decay.to_spec()}
-
-
-OffspringSequence = Union[ExplicitOffspring, PoissonOffspring]
-
 
 @dataclass(frozen=True)
-class InarModel:
+class InarModel(Spec, family="model"):
     immigration: CountDistribution
     offspring: OffspringSequence
+    SPEC = (None, {"immigration": "immigration", "offspring": "offspring"})
 
     def __post_init__(self):
         if not isinstance(self.immigration, CountDistribution):
             raise ConfigError(f"immigration must be a count distribution, got {self.immigration!r}")
-        if not isinstance(self.offspring, (ExplicitOffspring, PoissonOffspring)):
+        if not isinstance(self.offspring, OffspringSequence):
             raise ConfigError(f"offspring must be an offspring sequence, got {self.offspring!r}")
-
-    def to_spec(self) -> dict:
-        return {"immigration": self.immigration.to_spec(), "offspring": self.offspring.to_spec()}
 
     def fingerprint(self) -> str:
         canon = json.dumps(self.to_spec(), sort_keys=True, separators=(",", ":"))
@@ -610,48 +593,6 @@ def require_assumptions(m: InarModel, labels=("a", "c")) -> AssumptionReport:
     return report
 
 
-# Decay type -> (class, spec keys, which are also the constructor arguments)
-_DECAY_TYPES = {
-    "geometric": (GeometricDecay, ("c", "r")),
-    "power_law": (PowerLawDecay, ("c", "a")),
-    "finite_list": (FiniteDecay, ("values",)),
-}
-
-
-def _decay_from_spec(obj) -> DecayLaw:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"decay spec must be an object, got {type(obj).__name__}")
-    kind = obj.get("type")
-    if kind not in _DECAY_TYPES:
-        raise ConfigError(f"unknown decay type {kind!r}")
-    cls, keys = _DECAY_TYPES[kind]
-    expected = set(keys) | {"type"}
-    if set(obj) != expected:
-        raise ConfigError(f"bad {kind} decay spec: keys {sorted(obj)} != {sorted(expected)}")
-    return cls(**{key: spec_value(obj, key) for key in keys})
-
-
 def model_from_spec(obj) -> InarModel:
-    """Build a model from its JSON object, rejecting unknown keys."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"model spec must be an object, got {type(obj).__name__}")
-    if set(obj) != {"immigration", "offspring"}:
-        raise ConfigError(
-            f"model spec must have exactly the keys 'immigration' and 'offspring', got {sorted(obj)}"
-        )
-    immigration = dist_from_spec(obj["immigration"])
-    off = obj["offspring"]
-    if not isinstance(off, dict) or "type" not in off:
-        raise ConfigError("offspring spec must be a tagged object")
-    if off["type"] == "explicit":
-        if set(off) != {"type", "laws"}:
-            raise ConfigError(f"bad explicit offspring spec: keys {sorted(off)}")
-        laws = tuple(dist_from_spec(o) for o in spec_value(off, "laws"))
-        offspring = ExplicitOffspring(laws=laws)
-    elif off["type"] == "poisson_family":
-        if set(off) != {"type", "decay"}:
-            raise ConfigError(f"bad poisson_family offspring spec: keys {sorted(off)}")
-        offspring = PoissonOffspring(decay=_decay_from_spec(off["decay"]))
-    else:
-        raise ConfigError(f"unknown offspring type {off['type']!r}")
-    return InarModel(immigration=immigration, offspring=offspring)
+    """Build a model from its JSON object; see ``spec``."""
+    return from_spec(obj, "model")

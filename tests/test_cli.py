@@ -126,9 +126,15 @@ def test_bad_grid_exits_2_before_model_computation(tmp_path, capsys):
         ({"type": "poisson", "lambda": 1.0}, {"type": "finite_list", "values": 3}),
         ({"type": "constant", "value": math.inf}, {"type": "geometric", "c": 0.25, "r": 0.5}),
         ({"type": "poisson", "lambda": 1.0}, {"type": "geometric", "c": math.nan, "r": 0.5}),
+        ({"type": ["poisson"], "lambda": 1.0}, {"type": "geometric", "c": 0.25, "r": 0.5}),
+        ({"type": "poisson", "lambda": 1.0}, {"type": {"g": 1}, "c": 0.25, "r": 0.5}),
+        ({"type": "poisson", "lambda": 10**400}, {"type": "geometric", "c": 0.25, "r": 0.5}),
+        ({"type": "poisson", "lambda": 1.0}, {"type": "geometric", "c": 10**400, "r": 0.5}),
+        ({"type": "constant", "value": 10**400}, {"type": "geometric", "c": 0.25, "r": 0.5}),
     ],
     ids=["p-string", "lambda-null", "m-bool", "probs-number", "probs-string-entry", "r-string",
-         "values-number", "value-infinity", "c-nan"],
+         "values-number", "value-infinity", "c-nan", "type-list", "decay-type-object",
+         "lambda-huge-int", "c-huge-int", "value-huge-int"],
 )
 def test_wrong_spec_types_exit_2(tmp_path, capsys, immigration, decay):
     spec = {"immigration": immigration, "offspring": {"type": "poisson_family", "decay": decay}}
