@@ -35,6 +35,7 @@ class Spec:
             _FAMILIES.setdefault(cls._spec_family, {})[cls.SPEC[0]] = cls
 
     def to_spec(self) -> dict:
+        """The JSON object: the tag, then each key's value; a tuple as a list, a component nested."""
         tag, keys = self.SPEC
         head = {} if tag is None else {"type": tag}
         return head | {key: _written(getattr(self, attr)) for key, attr in keys.items()}
