@@ -25,7 +25,6 @@ from .model import (
     InarModel,
     PoissonOffspring,
     PowerLawDecay,
-    effective_horizon,
     model_from_spec,
     require_assumptions,
     validate,
@@ -63,7 +62,13 @@ from .asymptotics import (
     tilt_fixed_point,
     tilt_gap,
 )
-from .oracle import ExactLaw, enumerate_sum_distribution, oracle_log_mgf, oracle_moments
+from .oracle import (
+    ExactLaw,
+    enumerate_sum_distribution,
+    enumerate_sum_distributions,
+    oracle_log_mgf,
+    oracle_moments,
+)
 from .montecarlo import (
     ValidationReport,
     validate_cesaro,

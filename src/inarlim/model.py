@@ -7,11 +7,13 @@ a decay law.  Construction validates structure only; the standing
 assumptions (subcriticality etc.) are checked by :func:`validate` so that
 violating models can still be inspected and reported on.
 
-Each offspring sequence also steps the tilt recursion of ``recursions``:
-``tilt_stepper(n, window)`` returns ``(step, lags)``, where
-``step(k, f_{k-1})``, called for k = 1, 2, ... in order, gives the sum
-over lags i of log E[exp(f_{k-i} xi_i)], and ``lags`` is how many lags
-that sum reaches back at most.
+Every count depends on its whole history, and no lag is ever dropped.
+Each decay law sums the history exactly: ``history_stepper(n)`` returns
+``step(k, u_{k-1})``, which, called for k = 1, 2, ... in order, gives
+y_k = sum over lags i = 1..k of alpha_i u_{k-i}.  Each offspring sequence
+steps the tilt recursion of ``recursions`` the same way:
+``tilt_stepper(n)`` returns ``step(k, f_{k-1})``, which gives the sum over
+lags i of log E[exp(f_{k-i} xi_i)].
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import CountDistribution, Poisson, _safe_expm1
+from .distributions import CountDistribution, Poisson
 from .errors import AssumptionViolation, ConfigError
 from .spec import Spec, from_spec
 
@@ -42,12 +44,9 @@ __all__ = [
     "AssumptionReport",
     "model_from_spec",
     "validate",
-    "effective_horizon",
     "require_assumptions",
     "hurwitz_zeta",
 ]
-
-TRUNCATION_TOL = 1e-12
 
 # Euler-Maclaurin divisors (2j)! / B_2j for j = 1..12, as in Cephes zeta.c
 _ZETA_EM_DIVISORS = (
@@ -67,7 +66,7 @@ def hurwitz_zeta(x: float, q: float) -> float:
     least nine direct terms, continued past k + q = 9, then up to 12
     Euler-Maclaurin corrections; either stage stops once a term falls
     below machine precision relative to the sum.  Memoized: a power law's
-    total and tails recur on every CGF evaluation and window search.
+    total recurs on every CGF evaluation.
     """
     if q > 1e8:
         return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * q ** (1.0 - x)
@@ -101,46 +100,71 @@ def hurwitz_zeta(x: float, q: float) -> float:
 
 
 def _no_offspring(k: int, last: float) -> float:
-    """Tilt step of an offspring sequence that produces nothing."""
+    """History sum of a law without offspring, and its tilt step: always 0."""
     return 0.0
 
 
 class DecayLaw(Spec, family="decay"):
-    """Base class of the per-lag mean laws: coefficients, total, tails and the Poisson tilt step."""
+    """Base class of the per-lag mean laws: coefficients, total and the whole-history sum.
+
+    ``history_stepper(n)`` steps y_k = sum over i = 1..k of alpha_i u_{k-i}
+    (see the module docstring); ``history_sums(u)`` gives every y_k of a
+    sequence known in advance.
+    """
+
+    def history_sums(self, u: np.ndarray) -> np.ndarray:
+        """Every y_k = sum_i alpha_i u[k-i] of a known sequence u, with y_0 = 0."""
+        n = len(u)
+        step = self.history_stepper(n)
+        y = np.zeros(n, dtype=np.float64)
+        for k, v in enumerate(u[:-1].tolist(), start=1):
+            y[k] = step(k, v)
+        return y
 
 
-class _WindowedDecay(DecayLaw):
-    """A decay law without a short recurrence: the Poisson tilt step sums over the window."""
+class _DotDecay(DecayLaw):
+    """A decay law without a short recurrence: each history sum is one dot product.
 
-    def poisson_tilt_stepper(self, n: int, window: int) -> tuple:
-        """Step sum_i alpha_i expm1(f_{k-i}) over lags 1..min(k, window), as one dot product.
+    The dot runs over the lags the law has, up to n - 1 at horizon n
+    (``_lags``); an infinite u at a lag with zero mean adds 0.
+    """
 
-        The tilts' expm1 values are kept in an array of length n, and the
-        coefficients are reversed so each step is one contiguous dot.
-        """
-        alpha_rev = np.ascontiguousarray(self.coefficients(window)[::-1])
+    def history_stepper(self, n: int):
+        """Step y_k as one contiguous dot of the kept values with the reversed coefficients."""
+        alpha_rev = np.ascontiguousarray(self.coefficients(self._lags(n))[::-1])
         if not alpha_rev.any():
-            return _no_offspring, window
-        e1 = np.empty(n, dtype=np.float64)
+            return _no_offspring
+        lags = len(alpha_rev)
+        u = np.empty(n, dtype=np.float64)
+        kept = memoryview(u)  # item stores from Python floats
+        dot, inf = np.dot, math.inf
         overflowed = False
 
         def step(k: int, last: float) -> float:
             nonlocal overflowed
-            e = _safe_expm1(last)
-            e1[k - 1] = e
-            if k >= window:
-                x, a = e1[k - window : k], alpha_rev
+            kept[k - 1] = last
+            if k >= lags:
+                x, a = u[k - lags : k], alpha_rev
             else:
-                x, a = e1[:k], alpha_rev[window - k :]
-            if e == math.inf:
+                x, a = u[:k], alpha_rev[lags - k :]
+            if last == inf:
                 overflowed = True
             if not overflowed:
-                return float(np.dot(x, a))
-            # an infinite expm1 at a lag with zero mean adds 0, where the dot would give nan
-            hit = x == math.inf
-            return math.inf if (a[hit] > 0.0).any() else float(np.dot(np.where(hit, 0.0, x), a))
+                return float(dot(x, a))
+            # an infinite value at a lag with zero mean adds 0, where the dot would give nan
+            hit = x == inf
+            return inf if (a[hit] > 0.0).any() else float(dot(np.where(hit, 0.0, x), a))
 
-        return step, window
+        return step
+
+    def history_sums(self, u: np.ndarray) -> np.ndarray:
+        """One full convolution of u with the coefficients."""
+        n = len(u)
+        y = np.zeros(n, dtype=np.float64)
+        alpha = self.coefficients(self._lags(n))
+        if alpha.size:
+            y[1:] = np.convolve(u, alpha)[: n - 1]
+        return y
 
 
 @dataclass(frozen=True)
@@ -163,9 +187,6 @@ class GeometricDecay(DecayLaw):
     def total(self) -> float:
         return self.c / (1.0 - self.r)
 
-    def tail(self, after: int) -> float:
-        return self.c * self.r**after / (1.0 - self.r)
-
     def poly_sup(self, power: float) -> float:
         """sup over k >= 1 of k**power * c * r**(k-1)."""
         if self.c == 0.0:
@@ -176,34 +197,27 @@ class GeometricDecay(DecayLaw):
             for k in {1, max(1, math.floor(k_star)), math.ceil(k_star)}
         )
 
-    def tail_witness(self) -> tuple:
+    def decay_witness(self) -> tuple:
         """(exponent a of a witnessing k**(-a) bound, description of the tail)."""
         return 2.0, "geometric decay dominates every polynomial"
 
-    def poisson_tilt_stepper(self, n: int, window: int) -> tuple:
-        """Step s_k = sum_i c r**(i-1) expm1(f_{k-i}) by s_k = r s_{k-1} + c expm1(f_{k-1}).
-
-        One state variable carries the whole history, so no lag is dropped
-        and ``window`` is not needed: each step sums over all k - 1 lags.
-        """
+    def history_stepper(self, n: int):
+        """Step y_k by y_k = r y_{k-1} + c u_{k-1}: one state variable carries the whole history."""
         if self.c == 0.0:
-            return _no_offspring, n - 1
-        c, r, expm1 = self.c, self.r, math.expm1
+            return _no_offspring
+        c, r = self.c, self.r
         s = 0.0
 
         def step(k: int, last: float) -> float:
             nonlocal s
-            try:
-                s = r * s + c * expm1(last)
-            except OverflowError:
-                s = math.inf
+            s = r * s + c * last
             return s
 
-        return step, n - 1
+        return step
 
 
 @dataclass(frozen=True)
-class PowerLawDecay(_WindowedDecay):
+class PowerLawDecay(_DotDecay):
     """Coefficients c * k**(-a) with a > 1; total mass c * zeta(a)."""
 
     c: float
@@ -224,10 +238,8 @@ class PowerLawDecay(_WindowedDecay):
     def total(self) -> float:
         return self.c * hurwitz_zeta(self.a, 1.0)
 
-    def tail(self, after: int) -> float:
-        if self.c == 0.0:
-            return 0.0
-        return self.c * hurwitz_zeta(self.a, float(after + 1))
+    def _lags(self, n: int) -> int:
+        return n - 1
 
     def poly_sup(self, power: float) -> float:
         """sup over k >= 1 of k**power * c * k**(-a): attained at k = 1 unless power > a."""
@@ -235,12 +247,12 @@ class PowerLawDecay(_WindowedDecay):
             return 0.0
         return math.inf if power > self.a else self.c
 
-    def tail_witness(self) -> tuple:
+    def decay_witness(self) -> tuple:
         return self.a, f"power-law decay with exponent {self.a}"
 
 
 @dataclass(frozen=True)
-class FiniteDecay(_WindowedDecay):
+class FiniteDecay(_DotDecay):
     """Explicit finite list of nonnegative coefficients, zero beyond."""
 
     values: tuple
@@ -262,13 +274,13 @@ class FiniteDecay(_WindowedDecay):
     def total(self) -> float:
         return math.fsum(self.values)
 
-    def tail(self, after: int) -> float:
-        return math.fsum(self.values[after:])
+    def _lags(self, n: int) -> int:
+        return min(n - 1, len(self.values))
 
     def poly_sup(self, power: float) -> float:
         return max((k**power * v for k, v in enumerate(self.values, start=1)), default=0.0)
 
-    def tail_witness(self) -> tuple:
+    def decay_witness(self) -> tuple:
         return 2.0, "finitely many nonzero lags, tail conditions hold trivially"
 
 
@@ -283,16 +295,18 @@ def _fsum_or_inf(terms) -> float:
 
 
 class OffspringSequence(Spec, family="offspring"):
-    """Base class of the offspring sequences: the lag means come from ``mean_decay()``."""
+    """Base class of the offspring sequences: the lag means and variances as decay laws.
+
+    ``mean_decay()`` gives E[xi_k] and ``var_decay()`` gives Var[xi_k] at
+    each lag k, so their history sums serve the expansion tables and the
+    conditional means.
+    """
 
     def mean_l1(self) -> float:
         return self.mean_decay().total()
 
-    def mean_coefficients(self, upto: int) -> np.ndarray:
-        return self.mean_decay().coefficients(upto)
-
-    def mean_tail(self, after: int) -> float:
-        return self.mean_decay().tail(after)
+    def var_l1(self) -> float:
+        return self.var_decay().total()
 
 
 @dataclass(frozen=True)
@@ -301,6 +315,7 @@ class ExplicitOffspring(OffspringSequence):
 
     laws: tuple
     _means: FiniteDecay = field(init=False, compare=False, repr=False)
+    _variances: FiniteDecay = field(init=False, compare=False, repr=False)
     SPEC = ("explicit", {"laws": "laws"})
 
     def __post_init__(self):
@@ -310,19 +325,15 @@ class ExplicitOffspring(OffspringSequence):
                 raise ConfigError(f"offspring entries must be count distributions, got {law!r}")
         object.__setattr__(self, "laws", laws)
         object.__setattr__(self, "_means", FiniteDecay(tuple(law.mean() for law in laws)))
+        object.__setattr__(self, "_variances", FiniteDecay(tuple(law.variance() for law in laws)))
 
     def mean_decay(self) -> FiniteDecay:
         """The per-lag offspring means, as a finite decay law built once."""
         return self._means
 
-    def var_l1(self) -> float:
-        return math.fsum(law.variance() for law in self.laws)
-
-    def var_coefficients(self, upto: int) -> np.ndarray:
-        out = np.zeros(upto, dtype=np.float64)
-        for k, law in enumerate(self.laws[:upto]):
-            out[k] = law.variance()
-        return out
+    def var_decay(self) -> FiniteDecay:
+        """The per-lag offspring variances, as a finite decay law built once."""
+        return self._variances
 
     def cgf(self, x: float) -> float:
         """sum_k log E[exp(x xi_k)]; +inf past the domain."""
@@ -344,18 +355,18 @@ class ExplicitOffspring(OffspringSequence):
         """log P(one individual has no offspring at any lag)."""
         return math.fsum(math.log(law.pmf(0)) for law in self.laws)
 
-    def tilt_stepper(self, n: int, window: int) -> tuple:
-        """Step sum over lags i = 1..min(k, window) of log E[exp(f_{k-i} xi_i)], in lag order.
+    def tilt_stepper(self, n: int):
+        """Step the sum over lags i = 1..min(k, len(laws)) of log E[exp(f_{k-i} xi_i)], in lag order.
 
-        The last ``window`` tilts are kept as Python floats, most recent
+        The last len(laws) tilts are kept as Python floats, most recent
         first; the sum stops as soon as it reaches +inf.
         """
-        log_mgfs = [law.log_mgf for law in self.laws[:window]]
+        log_mgfs = [law.log_mgf for law in self.laws]
         if len(log_mgfs) == 1:
             # same bits as the loop below (its sum starts at 0.0); the loop's
             # deque and zip cost an AR(1) about a third of its stepping time
             only = log_mgfs[0]
-            return (lambda k, last: only(last)), window
+            return lambda k, last: only(last)
         recent = collections.deque(maxlen=len(log_mgfs))
 
         def step(k: int, last: float) -> float:
@@ -367,7 +378,7 @@ class ExplicitOffspring(OffspringSequence):
                     break
             return s
 
-        return step, window
+        return step
 
 
 @dataclass(frozen=True)
@@ -385,12 +396,9 @@ class PoissonOffspring(OffspringSequence):
     def mean_decay(self) -> DecayLaw:
         return self.decay
 
-    def var_l1(self) -> float:
+    def var_decay(self) -> DecayLaw:
         # Poisson variance equals the mean at every lag.
-        return self.decay.total()
-
-    def var_coefficients(self, upto: int) -> np.ndarray:
-        return self.decay.coefficients(upto)
+        return self.decay
 
     def cgf(self, x: float) -> float:
         return Poisson(self.decay.total()).log_mgf(x)
@@ -407,9 +415,17 @@ class PoissonOffspring(OffspringSequence):
     def log_no_offspring(self) -> float:
         return -self.decay.total()
 
-    def tilt_stepper(self, n: int, window: int) -> tuple:
-        """The decay law's stepper for sum_i alpha_i expm1(f_{k-i}), the Poisson log-MGFs."""
-        return self.decay.poisson_tilt_stepper(n, window)
+    def tilt_stepper(self, n: int):
+        """The decay law's history sum of expm1(f), which is sum_i log E[exp(f_{k-i} xi_i)]."""
+        history, expm1 = self.decay.history_stepper(n), math.expm1
+
+        def step(k: int, last: float) -> float:
+            try:
+                return history(k, expm1(last))
+            except OverflowError:
+                return history(k, math.inf)
+
+        return step
 
 
 @dataclass(frozen=True)
@@ -427,46 +443,6 @@ class InarModel(Spec, family="model"):
     def fingerprint(self) -> str:
         canon = json.dumps(self.to_spec(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def effective_horizon(m: InarModel, tol: float) -> int:
-    """Smallest K with total offspring mean beyond lag K below tol.
-
-    Exact for geometric and finite decay, via Hurwitz-zeta tails for power
-    laws (which can make K astronomically large).  Raises ConfigError when
-    K would pass 2**1023, beyond which the zeta argument overflows a float.
-    """
-    if tol <= 0.0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
-    tail = m.offspring.mean_tail
-    if tail(0) < tol:
-        return 1
-    # Exponential search for an upper bracket, then bisect to the smallest K.
-    # A finite lag list has zero tail past its end, which ends the search.
-    hi = 1
-    while tail(hi) >= tol:
-        hi *= 2
-        if hi > 2**1023:
-            raise ConfigError(f"offspring mean tail still at least {tol} past lag 2**1023")
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if tail(mid) < tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def history_window(m: InarModel, n: int) -> int:
-    """Lags of history kept at horizon n: the effective horizon, capped by n - 1.
-
-    The horizon is searched for only when the tail past the cap is below tolerance.
-    """
-    cap = max(n - 1, 1)
-    if m.offspring.mean_tail(cap) >= TRUNCATION_TOL:
-        return cap
-    return min(effective_horizon(m, TRUNCATION_TOL), cap)
 
 
 @dataclass(frozen=True)
@@ -542,7 +518,7 @@ def validate(m: InarModel) -> AssumptionReport:
     )
 
     decay = m.offspring.mean_decay()
-    witness_a, tail_note = decay.tail_witness()
+    witness_a, tail_note = decay.decay_witness()
     b1_holds = witness_a >= 1.5
     b2_holds = witness_a > 1.5
 

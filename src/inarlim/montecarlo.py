@@ -29,7 +29,7 @@ from .asymptotics import clt_variance, critical_tilt, limit_cgf, quadratic_rate
 from .distributions import log_sum_exp
 from .errors import InsufficientTailMass
 from .model import InarModel, require_assumptions
-from .oracle import enumerate_sum_distribution
+from .oracle import enumerate_sum_distributions
 from .recursions import gbar_tables, log_mgf_exact
 from .simulate import RandomStream, simulate
 
@@ -325,8 +325,7 @@ def _oracle_report_and_law(m: InarModel, n: int) -> tuple:
         raise ValueError(f"horizon must be at least 1, got {n}")
     start = time.perf_counter()
     points = []
-    for k in range(1, n + 1):
-        law = enumerate_sum_distribution(m, k)
+    for k, law in enumerate(enumerate_sum_distributions(m, n), start=1):
         for theta in ORACLE_THETA_GRID:
             gap = abs(law.log_mgf(theta) - log_mgf_exact(m, theta, k))
             points.append({"n": k, "theta": theta, "gap": gap})

@@ -18,7 +18,13 @@ from .distributions import log_sum_exp
 from .errors import EnumerationError
 from .model import ExplicitOffspring, InarModel
 
-__all__ = ["ExactLaw", "enumerate_sum_distribution", "oracle_log_mgf", "oracle_moments"]
+__all__ = [
+    "ExactLaw",
+    "enumerate_sum_distribution",
+    "enumerate_sum_distributions",
+    "oracle_log_mgf",
+    "oracle_moments",
+]
 
 STATE_WORK_CAP = 10_000_000
 NORMALIZATION_TOL = 1e-12
@@ -64,27 +70,26 @@ def _bounded_laws(m: InarModel):
     return imm_max, laws
 
 
-def _work_estimate(imm_max: int, laws, n: int) -> tuple:
+def _work_estimate(imm_max: int, laws, n: int) -> int:
     """Upper bound on DP work: states times branches, summed over steps."""
-    window = min(len(laws), max(n - 1, 1))
     xmax = []
     for t in range(n):
         v = imm_max
-        for k, (_, smax) in enumerate(laws[: min(t, window)], start=1):
+        for k, (_, smax) in enumerate(laws[:t], start=1):
             v += smax * xmax[t - k]
         xmax.append(v)
     work = 0
     sum_cap = 0  # largest running sum possible before step t
     for t in range(n):
         states = 1
-        for k in range(1, min(t, window) + 1):
+        for k in range(1, min(t, len(laws)) + 1):
             states *= xmax[t - k] + 1
         states *= sum_cap + 1
         work += states * (xmax[t] + 1)
         sum_cap += xmax[t]
         if work > STATE_WORK_CAP:
             break
-    return work, xmax, window
+    return work
 
 
 def _pmf_array(law) -> np.ndarray:
@@ -98,10 +103,25 @@ def enumerate_sum_distribution(m: InarModel, n: int) -> ExactLaw:
     Requires bounded immigration and offspring laws, and refuses up front
     when the dynamic-programming state space would explode.
     """
+    for states in _dp_states(m, n):
+        pass
+    return _law_of_sums(states)
+
+
+def enumerate_sum_distributions(m: InarModel, n: int) -> list:
+    """The exact laws of S_1, ..., S_n, in that order, from one dynamic-programming pass."""
+    return [_law_of_sums(states) for states in _dp_states(m, n)]
+
+
+def _dp_states(m: InarModel, n: int):
+    """The DP states {(last counts, running sum): probability} after each of the n steps.
+
+    The history tuple keeps the last count for each lag of the list.
+    """
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
     imm_max, laws = _bounded_laws(m)
-    work, _, window = _work_estimate(imm_max, laws, n)
+    work = _work_estimate(imm_max, laws, n)
     if work > STATE_WORK_CAP:
         raise EnumerationError(
             f"state-space work estimate {work} exceeds the cap {STATE_WORK_CAP}"
@@ -109,6 +129,7 @@ def enumerate_sum_distribution(m: InarModel, n: int) -> ExactLaw:
 
     imm_pmf = _pmf_array(m.immigration)
     base_pmfs = [_pmf_array(law) for law, _ in laws]
+    window = len(laws)
 
     conv_cache: dict = {}
 
@@ -138,7 +159,10 @@ def enumerate_sum_distribution(m: InarModel, n: int) -> ExactLaw:
                     new_hist = (hist + (v,))[-window:] if window else ()
                     acc[(new_hist, s + v)].append(p * q)
         states = {key: math.fsum(vals) for key, vals in acc.items()}
+        yield states
 
+
+def _law_of_sums(states: dict) -> ExactLaw:
     by_sum = defaultdict(list)
     for (_, s), p in states.items():
         by_sum[s].append(p)

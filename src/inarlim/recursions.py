@@ -9,13 +9,12 @@ Three deterministic computations drive the noise-free checks:
   with their uniform bounds and Cesaro limits;
 * the moderate-deviation scaled log-MGF curve along a horizon grid.
 
-Each offspring sequence steps the tilt recursion its own way.  A geometric
-Poisson kernel carries the whole history in one running sum, so its
-recursion is exact and untruncated, in O(1) work per step.  Other decay
-laws and explicit lag lists sum over the lags up to the effective horizon;
-the offspring mean mass they discard is below 1e-12, far below every test
-tolerance, and each result reports it with the window used.  The
-expansion tables are truncated the same way for every kernel.
+Every sum over the history is exact: no lag is dropped.  Each offspring
+sequence steps the tilt recursion its own way, and the expansion tables
+run through the history sums of the lag means and lag variances
+(``model``).  A geometric kernel carries its whole history in one running
+sum, in O(1) work per step; power laws and lag lists take one dot product
+over the lags they have.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import InarModel, history_window, require_assumptions
+from .model import InarModel, require_assumptions
 
 __all__ = [
     "MgfRecursion",
@@ -49,10 +48,7 @@ BOUND_ROUNDING_ULPS = 32
 class MgfRecursion:
     """Tilt sequence f_1..f_n and the resulting exact log-MGF of the sum.
 
-    ``window`` is the number of lags each step sums over at most (n - 1 for
-    a geometric kernel, which keeps the whole history).  When the window is
-    shorter than the history, ``discarded_tail_mass`` is the offspring mean
-    mass past it, below 1e-12; otherwise it is 0.0.  ``diverged_at`` is the
+    Each step sums over the whole history.  ``diverged_at`` is the
     first step k whose f_k is infinite, or None; ``values`` then stops
     before it and ``log_mgf_total`` is +inf.  The total is also +inf when
     the immigration log-MGF diverges, or overflows, at finite tilts.
@@ -61,24 +57,20 @@ class MgfRecursion:
     theta: float
     values: np.ndarray
     log_mgf_total: float
-    window: int
-    discarded_tail_mass: float
     diverged_at: int | None
 
 
 def tilt_recursion(m: InarModel, theta: float, n: int) -> MgfRecursion:
     """Run the tilt recursion for n steps.
 
-    The offspring sequence supplies the per-step sum: a running state for a
-    geometric Poisson kernel, a dot product over the window for other decay
-    laws, and each lag's log-MGF for explicit laws.
+    The offspring sequence supplies the per-step sum: the decay law's
+    history sum of expm1(f) for a Poisson family, and each lag's log-MGF
+    for explicit laws.
     """
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
     theta = float(theta)
-    step, lags = m.offspring.tilt_stepper(n, history_window(m, n))
-    window = min(lags, n - 1)
-    discarded = 0.0 if window == n - 1 else m.offspring.mean_tail(window)
+    step = m.offspring.tilt_stepper(n)
     f = np.empty(n, dtype=np.float64)
     f[0] = theta
     out = memoryview(f)  # item access in Python floats
@@ -87,7 +79,7 @@ def tilt_recursion(m: InarModel, theta: float, n: int) -> MgfRecursion:
     for k in range(1, n):
         last = theta + step(k, last)
         if not isfinite(last):
-            return MgfRecursion(theta, f[:k].copy(), math.inf, window, discarded, k + 1)
+            return MgfRecursion(theta, f[:k].copy(), math.inf, k + 1)
         out[k] = last
 
     try:
@@ -95,7 +87,7 @@ def tilt_recursion(m: InarModel, theta: float, n: int) -> MgfRecursion:
     except OverflowError:
         # a partial sum passed the largest float; every term has the sign of the tilt
         total = math.copysign(math.inf, theta)
-    return MgfRecursion(theta, f, total, window, discarded, None)
+    return MgfRecursion(theta, f, total, None)
 
 
 def log_mgf_exact(m: InarModel, theta: float, n: int) -> float:
@@ -148,9 +140,11 @@ def gbar_tables(m: InarModel, n: int) -> GbarTables:
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
     report = require_assumptions(m, labels=("a",))
-    w = history_window(m, n)
-    mean_rev = np.ascontiguousarray(m.offspring.mean_coefficients(w)[::-1])
-    var_rev = np.ascontiguousarray(m.offspring.var_coefficients(w)[::-1])
+    means = m.offspring.mean_decay()
+    # g1 and g2 each sum their own history through the lag means, g1^2 through the lag variances
+    g1_history = means.history_stepper(n)
+    g2_history = means.history_stepper(n)
+    g1_sq_history = m.offspring.var_decay().history_stepper(n)
 
     g1 = np.empty(n, dtype=np.float64)
     g1sq = np.empty(n, dtype=np.float64)
@@ -158,21 +152,16 @@ def gbar_tables(m: InarModel, n: int) -> GbarTables:
     g1[0] = 1.0
     g1sq[0] = 1.0
     g2[0] = 0.0
-    dot = np.dot
-    head = min(w, n)
-    # the window still reaches back to step 1: the coefficients' tail end
-    for k in range(1, head):
-        a = 1.0 + dot(g1[:k], mean_rev[w - k :])
-        g1[k] = a
-        g1sq[k] = a * a
-        g2[k] = dot(g2[:k], mean_rev[w - k :]) + 0.5 * dot(g1sq[:k], var_rev[w - k :])
-    # the whole window
-    for k in range(head, n):
-        lo = k - w
-        a = 1.0 + dot(g1[lo:k], mean_rev)
-        g1[k] = a
-        g1sq[k] = a * a
-        g2[k] = dot(g2[lo:k], mean_rev) + 0.5 * dot(g1sq[lo:k], var_rev)
+    # item access in Python floats
+    g1_out, g1sq_out, g2_out = memoryview(g1), memoryview(g1sq), memoryview(g2)
+    a, a_sq, b = 1.0, 1.0, 0.0
+    for k in range(1, n):
+        b = g2_history(k, b) + 0.5 * g1_sq_history(k, a_sq)
+        a = 1.0 + g1_history(k, a)
+        a_sq = a * a
+        g1_out[k] = a
+        g1sq_out[k] = a_sq
+        g2_out[k] = b
 
     one_minus = 1.0 - report.mean_l1
     g1_limit = 1.0 / one_minus

@@ -2,9 +2,8 @@
 
 The process starts from nothing: the first count is pure immigration, and
 each later count adds immigration to the offspring produced by all earlier
-counts.  History is truncated at the effective horizon (total offspring
-mean beyond it below 1e-12), which biases the running mean by far less
-than any test tolerance.
+counts.  No lag is dropped: the offspring rates and the conditional means
+sum over the whole history through the decay laws' history sums.
 
 Reproducibility contract: a ``RandomStream`` is an immutable descriptor
 (seed, stream index); the same descriptor always reproduces the same
@@ -19,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FingerprintMismatch
-from .model import InarModel, PoissonOffspring, history_window, validate
+from .model import InarModel, PoissonOffspring, validate
 
 __all__ = [
     "RandomStream",
@@ -86,9 +85,9 @@ def simulate(m: InarModel, n: int, stream: RandomStream) -> Trajectory:
 
     Immigration is drawn first at each step, then offspring lag by lag.
     For Poisson offspring the per-step offspring total is drawn as a single
-    Poisson variate with rate sum_k alpha_k * X_{t-k} (exact, by additivity
-    of independent Poissons); otherwise each contributing count draws its
-    variates individually.
+    Poisson variate with rate sum_k alpha_k * X_{t-k}, the decay law's
+    history sum (exact, by additivity of independent Poissons); otherwise
+    each contributing count draws its variates individually.
 
     Subcriticality is not enforced here: finite-horizon paths are well
     defined at and above the critical boundary (counts just explode, and
@@ -98,35 +97,30 @@ def simulate(m: InarModel, n: int, stream: RandomStream) -> Trajectory:
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
     gen = stream.generator()
-    window = history_window(m, n)
-
     poisson_family = isinstance(m.offspring, PoissonOffspring)
     if poisson_family:
-        alpha_rev = np.ascontiguousarray(m.offspring.decay.coefficients(window)[::-1])
+        rate_after = m.offspring.decay.history_stepper(n)
     else:
-        laws = m.offspring.laws[:window]
-        window = len(laws)  # below the history window only for an empty lag list
+        laws = m.offspring.laws
 
     imm = m.immigration
     x = np.zeros(n, dtype=np.int64)
-    xf = np.zeros(n, dtype=np.float64)
+    total = 0
     for t in range(n):
-        total = imm.sample(gen)
-        w = min(t, window)
-        if w:
-            if poisson_family:
-                rate = float(np.dot(xf[t - w : t], alpha_rev[window - w :]))
+        last, total = total, imm.sample(gen)
+        if poisson_family:
+            if t:
+                rate = rate_after(t, float(last))
                 if rate > 0.0:
                     total += int(gen.poisson(rate))
-            else:
-                for lag in range(1, w + 1):
-                    cnt = int(x[t - lag])
-                    if cnt:
-                        total += laws[lag - 1].sample_sum(gen, cnt)
+        else:
+            for lag in range(1, min(t, len(laws)) + 1):
+                cnt = int(x[t - lag])
+                if cnt:
+                    total += laws[lag - 1].sample_sum(gen, cnt)
         if total > _I64_MAX:
             raise OverflowError(f"count at step {t + 1} exceeds the 64-bit integer maximum")
         x[t] = total
-        xf[t] = total
     return Trajectory(counts=x, stream=stream, model_fingerprint=m.fingerprint())
 
 
@@ -151,8 +145,8 @@ def simulate_batch(m: InarModel, n: int, reps: int, master: RandomStream) -> lis
 def martingale_diagnostic(traj: Trajectory, m: InarModel) -> MartingaleDiagnostic:
     """Centered path M_i = sum_{j<=i} (X_j - E[X_j | past]) plus its moment bound.
 
-    Conditional means use the same truncated offspring coefficients as the
-    simulator, so M is exactly a martingale for the simulated dynamics.
+    Conditional means are the history sums of the lag means over the whole
+    past, so M is exactly a martingale for the simulated dynamics.
     """
     if traj.model_fingerprint != m.fingerprint():
         raise FingerprintMismatch(
@@ -160,11 +154,8 @@ def martingale_diagnostic(traj: Trajectory, m: InarModel) -> MartingaleDiagnosti
         )
     xf = traj.counts.astype(np.float64)
     n = len(xf)
-    coeffs = m.offspring.mean_coefficients(history_window(m, n))
-
-    # E[X_t | past] = E[eps] + sum_k coeffs[k-1] X_{t-k}: one full convolution
-    cond = np.full(n, m.immigration.mean(), dtype=np.float64)
-    cond[1:] += np.convolve(xf, coeffs)[: n - 1]
+    # E[X_t | past] = E[eps] + sum_k E[xi_k] X_{t-k}
+    cond = m.immigration.mean() + m.offspring.mean_decay().history_sums(xf)
     m_path = np.cumsum(xf - cond)
 
     report = validate(m)

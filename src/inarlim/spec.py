@@ -5,7 +5,8 @@ attribute})``, and its family (distribution, decay, offspring or model)
 is named once on the family's base class.  The model is the one family
 without a tag.  A field annotated ``tuple`` is written and read as a JSON
 list; the keys in ``_PARTS`` hold nested components, and every other
-value is a number that converts to a finite float.
+value is a number that converts to a finite float.  An error names the
+component's path in the model, as in ``offspring.laws[1].p``.
 """
 
 from __future__ import annotations
@@ -59,21 +60,27 @@ def _finite(value) -> bool:
         return False
 
 
-def from_spec(obj, family: str):
-    """Build a component of the family from its JSON object, checking every key and value."""
+def from_spec(obj, family: str, path: str = ""):
+    """Build a component of the family from its JSON object, checking every key and value.
+
+    ``path`` is where the component sits in the model (empty for the
+    object read); errors, the class's own ``ConfigError`` included, start
+    with it.
+    """
+    at = f"{path}: " if path else ""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{family} spec must be an object, got {type(obj).__name__}")
+        raise ConfigError(f"{at}{family} spec must be an object, got {type(obj).__name__}")
     classes = _FAMILIES[family]
     if None in classes:  # the model, the one untagged family
         cls, name, keys = classes[None], family, set(obj)
     else:
         if "type" not in obj:
-            raise ConfigError(f"{family} spec has no type")
+            raise ConfigError(f"{at}{family} spec has no type")
         tag = obj["type"]
         if not isinstance(tag, str):
-            raise ConfigError(f"{family} type must be a string, got {tag!r}")
+            raise ConfigError(f"{at}{family} type must be a string, got {tag!r}")
         if tag not in classes:
-            raise ConfigError(f"unknown {family} type {tag!r}, expected one of {sorted(classes)}")
+            raise ConfigError(f"{at}unknown {family} type {tag!r}, expected one of {sorted(classes)}")
         cls, name, keys = classes[tag], f"{tag} {family}", set(obj) - {"type"}
     declared = cls.SPEC[1]
     problems = [
@@ -82,23 +89,31 @@ def from_spec(obj, family: str):
         if ks
     ]
     if problems:
-        raise ConfigError(f"bad {name} spec: " + ", ".join(problems))
-    return cls(**{attr: _read(cls, key, attr, obj[key]) for key, attr in declared.items()})
+        raise ConfigError(f"{at}bad {name} spec: " + ", ".join(problems))
+    values = {
+        attr: _read(cls, f"{path}.{key}" if path else key, attr, obj[key], _PARTS.get(key))
+        for key, attr in declared.items()
+    }
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        if not path:
+            raise
+        raise ConfigError(f"{at}{exc}") from exc
 
 
-def _read(cls, key: str, attr: str, value):
-    """One checked spec value, or a list of them for a tuple field.
+def _read(cls, path: str, attr: str, value, part):
+    """One checked spec value at ``path``, or a list of them for a tuple field.
 
-    Each is a component for the keys in ``_PARTS``, else a finite number.
+    Each is a component of the family ``part``, if given, else a finite number.
     """
-    part = _PARTS.get(key)
     if cls.__dataclass_fields__[attr].type in ("tuple", tuple):
         if not isinstance(value, list) or not (part or all(map(_finite, value))):
             what = "a list" if part else "a list of finite numbers"
-            raise ConfigError(f"{key} must be {what}, got {value!r}")
-        return [from_spec(v, part) for v in value] if part else value
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
+        return [from_spec(v, part, f"{path}[{i}]") for i, v in enumerate(value)] if part else value
     if part:
-        return from_spec(value, part)
+        return from_spec(value, part, path)
     if not _finite(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     return value

@@ -197,17 +197,14 @@ def test_validate_oracle_and_cesaro(b1_path, tmp_path, capsys):
 
 
 def test_oracle_law_enumerated_once_per_horizon(b1_path, tmp_path, monkeypatch):
+    # one dynamic-programming pass visits horizons 1..4 in turn, and no law is enumerated again
     calls = []
-    real = inarlim.oracle.enumerate_sum_distribution
-    for module in (inarlim.montecarlo, inarlim.cli):
-        monkeypatch.setattr(
-            module, "enumerate_sum_distribution",
-            lambda m, n: calls.append(n) or real(m, n), raising=False,
-        )
+    real = inarlim.oracle._dp_states
+    monkeypatch.setattr(inarlim.oracle, "_dp_states", lambda m, n: calls.append(n) or real(m, n))
     prefix = str(tmp_path / "rep")
     assert main(["validate", "--model", b1_path, "--checks", "oracle", "--n", "4",
                  "--seed", "1", "--out", prefix, "--format", "csv"]) == 0
-    assert calls == [1, 2, 3, 4]
+    assert calls == [4]
     assert (tmp_path / "rep.oracle_law.csv").read_text().startswith("s,prob\n")
 
 

@@ -15,13 +15,11 @@ from inarlim import (
     PoissonOffspring,
     PowerLawDecay,
     RandomStream,
-    effective_horizon,
     model_from_spec,
     simulate,
     tilt_recursion,
     validate,
 )
-from inarlim.model import TRUNCATION_TOL, history_window
 
 IMM = Poisson(1.0)
 
@@ -56,8 +54,6 @@ def test_power_law_sums_match_direct_summation(c, a):
 def test_finite_decay_sums():
     decay = FiniteDecay((0.3, 0.2))
     assert decay.total() == 0.5
-    assert decay.tail(1) == 0.2
-    assert decay.tail(2) == 0.0
 
 
 def test_power_law_requires_summable_exponent():
@@ -106,38 +102,9 @@ def test_power_law_boundary_exponent():
     assert not report.holds("b2")
 
 
-def test_effective_horizon_examples():
-    geo = InarModel(IMM, PoissonOffspring(GeometricDecay(0.25, 0.5)))
-    assert effective_horizon(geo, 1e-12) == 39
-    fin = InarModel(IMM, PoissonOffspring(FiniteDecay((0.3, 0.2))))
-    assert effective_horizon(fin, 1e-12) == 2
-    exp1 = InarModel(IMM, ExplicitOffspring((Bernoulli(0.4),)))
-    assert effective_horizon(exp1, 1e-12) == 1
-
-
-def test_effective_horizon_matches_definition():
-    geo = GeometricDecay(0.25, 0.5)
-    m = InarModel(IMM, PoissonOffspring(geo))
-    for tol in (1e-6, 1e-9, 1e-12):
-        k = effective_horizon(m, tol)
-        assert geo.tail(k) < tol
-        assert k == 1 or geo.tail(k - 1) >= tol
-
-
-def test_power_law_horizon_is_huge_but_consistent():
-    decay = PowerLawDecay(c=0.1, a=1.2)
-    m = InarModel(IMM, PoissonOffspring(decay))
-    k = effective_horizon(m, 1e-6)
-    assert decay.tail(k) < 1e-6
-    assert decay.tail(k - 1) >= 1e-6
-
-
 def test_power_law_near_one_keeps_the_whole_history():
-    # the tail past any float-representable lag is still above the tolerance
+    # a tail too heavy to cut at any float-representable lag
     m = InarModel(IMM, PoissonOffspring(PowerLawDecay(c=0.02, a=1.02)))
-    with pytest.raises(ConfigError):
-        effective_horizon(m, TRUNCATION_TOL)
-    assert history_window(m, 100) == 99
     assert len(tilt_recursion(m, -0.1, 100).values) == 100
     assert len(simulate(m, 100, RandomStream(seed=3))) == 100
 

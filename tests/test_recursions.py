@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from inarlim import (
     tilt_fixed_point,
     tilt_recursion,
 )
+from tilt_reference import tilt_recursion_reference
 
 THETAS = (-1.0, -0.3, 0.0, 0.4, math.log(2))
 
@@ -105,17 +107,16 @@ def test_zero_mass_poisson_family_keeps_the_tilt(decay):
 
 
 def test_recursion_reports_its_window_and_truncation(hawkes, bernoulli_ar1):
-    # the geometric kernel keeps the whole history, and a lag list fits its window
-    for m, window in ((hawkes, 499), (bernoulli_ar1, 1)):
-        rec = tilt_recursion(m, 0.1, 500)
-        assert (rec.window, rec.discarded_tail_mass, rec.diverged_at) == (window, 0.0, None)
-    heavy = InarModel(Poisson(1.0), PoissonOffspring(PowerLawDecay(c=0.3, a=2.0)))
-    assert tilt_recursion(heavy, 0.1, 500).window == 499
+    # every kernel keeps its whole history, so only a divergence is left to report
+    for m in (hawkes, bernoulli_ar1):
+        assert tilt_recursion(m, 0.1, 500).diverged_at is None
+    # a steep power law, once cut at 138 lags, now sums all 999
     steep = InarModel(Poisson(1.0), PoissonOffspring(PowerLawDecay(c=0.3, a=6.0)))
     rec = tilt_recursion(steep, 0.1, 1000)
-    assert rec.window < 999
-    assert rec.discarded_tail_mass == steep.offspring.mean_tail(rec.window)
-    assert 0.0 < rec.discarded_tail_mass < 1e-12
+    values, total, diverged_at = tilt_recursion_reference(steep, 0.1, 1000)
+    assert rec.diverged_at is None and diverged_at is None
+    assert np.array_equal(rec.values, values)
+    assert rec.log_mgf_total == total
 
 
 def test_hawkes_log_mgf_exact_at_a_million_steps(hawkes):
@@ -187,7 +188,7 @@ def test_cesaro_exact_without_offspring(pure_immigration):
 CESARO_PAIRS_2000 = {
     "bernoulli_ar1": [(1.6661111111111113, 1.6666666666666667), (2.776190476190476, 2.7777777777777777),
                       (0.5547751322751321, 0.5555555555555556)],
-    "hawkes": [(1.997999999996444, 2.0), (3.9931428571286323, 4.0), (1.9925714285572307, 2.0)],
+    "hawkes": [(1.998, 2.0), (3.993142857142857, 4.0), (1.9925714285714284, 2.0)],
     "two_lag": [(2.49734375, 2.5), (6.239115767045451, 6.249999999999999),
                 (3.2307429643110774, 3.242187499999999)],
     "finite_mix": [(1.6661111111111113, 1.6666666666666667), (2.776190476190476, 2.7777777777777777),
@@ -199,6 +200,25 @@ CESARO_PAIRS_2000 = {
 @pytest.mark.parametrize("name", sorted(CESARO_PAIRS_2000))
 def test_cesaro_pairs_pinned(name, request):
     assert cesaro_check(request.getfixturevalue(name), 2000).pairs() == CESARO_PAIRS_2000[name]
+
+
+def test_hawkes_cesaro_means_within_4_ulps_of_exact_arithmetic(hawkes):
+    # c = 1/4 and r = 1/2 are exact binary fractions, so the running sums of
+    # g1(k) = 1 + s1_k, g2(k) = s2_k + v_k / 2 run exactly in rationals, with
+    # s_k = r s_{k-1} + c (entry k - 1) for g1 and g2 and, over g1^2, for v
+    n, c, r = 2000, Fraction(1, 4), Fraction(1, 2)
+    g1, g1_sq, g2 = Fraction(1), Fraction(1), Fraction(0)
+    s1 = s2 = v = Fraction(0)
+    sums = [g1, g1_sq, g2]
+    for _ in range(1, n):
+        s1, s2, v = r * s1 + c * g1, r * s2 + c * g2, r * v + c * g1_sq
+        g1, g2 = 1 + s1, s2 + v / 2
+        g1_sq = g1 * g1
+        for i, entry in enumerate((g1, g1_sq, g2)):
+            sums[i] += entry
+    for (mean, _), exact in zip(cesaro_check(hawkes, n).pairs(), sums):
+        exact /= n
+        assert abs(Fraction(mean) - exact) <= 4 * Fraction(math.ulp(float(exact)))
 
 
 def test_mdp_schedule_validation():

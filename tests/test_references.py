@@ -1,8 +1,8 @@
 """The package's own numeric routines against scipy and mpmath.
 
 The runtime imports numpy and the standard library only.  scipy and mpmath
-are test-only references here: the Hurwitz zeta behind power-law totals and
-tails, the weighted log-sum-exp, the normal tail and the one-sample
+are test-only references here: the Hurwitz zeta behind power-law totals,
+the weighted log-sum-exp, the normal tail and the one-sample
 Kolmogorov-Smirnov statistic.  A subprocess check makes sure that the CLI
 never loads scipy.
 """
@@ -21,9 +21,9 @@ from scipy.special import logsumexp, zeta
 from scipy.stats import kstest, norm
 
 import inarlim.model
-from inarlim import FiniteSupport, InarModel, Poisson, PoissonOffspring, PowerLawDecay
+from inarlim import FiniteSupport, PowerLawDecay
 from inarlim.distributions import log_sum_exp
-from inarlim.model import history_window, hurwitz_zeta
+from inarlim.model import hurwitz_zeta
 from inarlim.montecarlo import ks_statistic_normal, normal_sf
 
 ZETA_RTOL = 4e-15
@@ -49,15 +49,6 @@ def test_hurwitz_zeta_matches_scipy_on_random_arguments(a, q):
 @given(c=st.floats(1e-6, 0.5), a=st.floats(1.0001, 12.0))
 def test_power_law_total_is_bitwise_the_scipy_value(c, a):
     assert PowerLawDecay(c, a).total() == c * float(zeta(a, 1))
-
-
-@pytest.mark.parametrize("a", (1.05, 1.2, 1.5, 2.0, 3.0, 6.0))
-def test_history_window_unchanged_from_scipy_zeta(monkeypatch, a):
-    m = InarModel(Poisson(1.0), PoissonOffspring(PowerLawDecay(0.5 / float(zeta(a, 1)), a)))
-    horizons = (1, 2, 10, 1_000, 10_000, 100_000, 1_000_000)
-    ours = [history_window(m, n) for n in horizons]
-    monkeypatch.setattr(inarlim.model, "hurwitz_zeta", lambda x, q: float(zeta(x, q)))
-    assert ours == [history_window(m, n) for n in horizons]
 
 
 LSE_CASES = [

@@ -18,7 +18,7 @@ from inarlim import (
     simulate,
     simulate_batch,
 )
-from inarlim.model import history_window
+from history_reference import conditional_means_reference
 
 
 def test_no_immigration_gives_all_zeros():
@@ -121,13 +121,13 @@ def test_martingale_zero_for_deterministic_model():
 
 
 def test_martingale_decomposition_identity(hawkes):
-    # M_n equals (1 - mean_l1) S_n - n E[imm] + remainder, with the same
-    # truncated coefficients the simulator used
+    # M_n equals (1 - p_total) S_n - n E[imm] + remainder, where p_total is
+    # the offspring mean mass within the n - 1 lags of the whole history
     n = 400
     traj = simulate(hawkes, n, RandomStream(seed=13))
     diag = martingale_diagnostic(traj, hawkes)
-    # prefix[t] = sum of the first min(t, window) truncated offspring means
-    coeffs = hawkes.offspring.mean_coefficients(history_window(hawkes, n))
+    # prefix[t] = sum of the first min(t, n - 1) offspring means
+    coeffs = hawkes.offspring.mean_decay().coefficients(n - 1)
     w = len(coeffs)
     prefix = np.zeros(n)
     prefix[1 : w + 1] = np.cumsum(coeffs)
@@ -141,23 +141,12 @@ def test_martingale_decomposition_identity(hawkes):
     assert abs(diag.m_path[-1] - identity) < 1e-9
 
 
-def _per_lag_conditional_means(m, counts):
-    """Reference: E[X_t | past] accumulated lag by lag, as the diagnostic once did."""
-    n = len(counts)
-    coeffs = m.offspring.mean_coefficients(history_window(m, n))
-    xf = counts.astype(float)
-    cond = np.full(n, m.immigration.mean())
-    for k in range(1, min(len(coeffs), n - 1) + 1):
-        cond[k:] += coeffs[k - 1] * xf[: n - k]
-    return cond
-
-
 @pytest.mark.parametrize("name", ["hawkes", "bernoulli_ar1", "two_lag", "finite_mix"])
 def test_martingale_path_matches_per_lag_reference(name, request):
     m = request.getfixturevalue(name)
     for n in (1, 2, 60, 400):
         traj = simulate(m, n, RandomStream(seed=31))
-        ref = np.cumsum(traj.counts - _per_lag_conditional_means(m, traj.counts))
+        ref = np.cumsum(traj.counts - conditional_means_reference(m, traj.counts))
         got = martingale_diagnostic(traj, m).m_path
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * n)
 

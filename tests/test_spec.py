@@ -69,9 +69,18 @@ def _model(family: str, spec) -> dict:
         ("decay", {"type": "zeta", "s": 2.0}, ["unknown decay type 'zeta'"]),
         ("distribution", [1, 2], ["distribution spec must be an object, got list"]),
         ("model", 3, ["model spec must be an object, got int"]),
+        ("offspring", {"type": "explicit", "laws": [{"type": "bernoulli", "p": 0.3},
+                                                     {"type": "bernoulli", "p": "x"}]},
+         ["offspring.laws[1].p must be a finite number, got 'x'"]),
+        ("offspring", {"type": "explicit", "laws": [{"type": "bernoulli", "p": 0.3},
+                                                     {"type": "bernoulli", "p": 1.5}]},
+         ["offspring.laws[1]: p must be a probability in [0, 1], got 1.5"]),
+        ("distribution", {"type": "poisson", "lambda": -1.0},
+         ["immigration: poisson rate must be nonnegative, got -1.0"]),
+        ("decay", {"type": "geometric", "c": 0.25, "r": "x"}, ["offspring.decay.r must be a finite number"]),
     ],
     ids=["dist-keys", "decay-key", "offspring-key", "model-keys", "no-type", "unknown-type",
-         "dist-list", "model-number"],
+         "dist-list", "model-number", "lag-value", "lag-law", "immigration-law", "decay-value"],
 )
 def test_malformed_spec_exits_2_naming_the_fault(tmp_path, capsys, family, spec, named):
     path = tmp_path / "bad.json"

@@ -4,8 +4,8 @@ Every step sums the offspring log-MGF over the window directly: a dot
 product of the decay coefficients with expm1 of the earlier tilts for a
 Poisson family, and each lag's log-MGF in lag order 1..w for explicit
 laws, reading the tilts back from the array.  ``window`` defaults to the
-package's history window; ``window=n - 1`` keeps the whole history, which
-is the exact sum that the geometric stepper carries in one state variable.
+whole history (``whole_history``), the exact sum that the package's
+steppers carry; a shorter window cuts the history as the package once did.
 """
 
 import math
@@ -13,7 +13,19 @@ import math
 import numpy as np
 
 from inarlim.distributions import _safe_expm1
-from inarlim.model import PoissonOffspring, history_window
+from inarlim.model import FiniteDecay, PoissonOffspring
+
+
+def whole_history(m, n: int) -> int:
+    """Lags of history at horizon n: all n - 1 earlier steps, or a finite list's length if shorter.
+
+    Past a list's end every coefficient is 0.  Those zeros are left out, as
+    the package leaves them out: BLAS groups a dot product's terms by
+    position, so padding a short list with zeros can move its last bit.
+    """
+    decay = m.offspring.mean_decay()
+    lags = len(decay.values) if isinstance(decay, FiniteDecay) else n - 1
+    return max(min(n - 1, lags), 1)
 
 
 def tilt_recursion_reference(m, theta: float, n: int, window=None) -> tuple:
@@ -31,7 +43,7 @@ def tilt_recursion_reference(m, theta: float, n: int, window=None) -> tuple:
 
 
 def _reference(m, theta, n, window):
-    w = history_window(m, n) if window is None else max(window, 1)
+    w = whole_history(m, n) if window is None else max(window, 1)
     f = np.empty(n, dtype=np.float64)
     f[0] = theta
     diverged_at = None
