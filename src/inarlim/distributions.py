@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 PROB_SUM_TOL = 1e-12
+I64_MAX = int(np.iinfo(np.int64).max)
+# the largest mean numpy's Poisson sampler accepts; a larger one raises OverflowError here
+POISSON_MEAN_MAX = I64_MAX - 10.0 * math.sqrt(I64_MAX)
 
 
 def _safe_expm1(t: float) -> float:
@@ -222,6 +225,12 @@ class Bernoulli(Binomial):
             return int(rng.random() < self.p)
         return (rng.random(size) < self.p).astype(np.int64)
 
+    def sample_sum(self, rng, count: int) -> int:
+        # the uniforms of sample(rng, size=count), counted without the int64 copy
+        if count == 0:
+            return 0
+        return int(np.count_nonzero(rng.random(count) < self.p))
+
 
 @dataclass(frozen=True)
 class Poisson(CountDistribution):
@@ -269,7 +278,10 @@ class Poisson(CountDistribution):
         # Sum of count i.i.d. Poisson(lam) is Poisson(count * lam), exactly.
         if count == 0:
             return 0
-        return int(rng.poisson(self.lam * count))
+        mean = self.lam * count
+        if mean > POISSON_MEAN_MAX:
+            raise OverflowError(f"Poisson mean {mean:.6g} exceeds the 64-bit integer range")
+        return int(rng.poisson(mean))
 
 
 @dataclass(frozen=True)
@@ -334,6 +346,7 @@ class FiniteSupport(CountDistribution):
     """Arbitrary law on {0, ..., m} given by its probability vector."""
 
     probs: tuple
+    _cum: np.ndarray = field(init=False, compare=False, repr=False)
     SPEC = ("finite_support", {"probs": "probs"})
 
     def __post_init__(self):
@@ -345,6 +358,8 @@ class FiniteSupport(CountDistribution):
         if abs(math.fsum(probs) - 1.0) > PROB_SUM_TOL:
             raise ConfigError(f"finite-support probabilities must sum to 1, got {math.fsum(probs)}")
         object.__setattr__(self, "probs", probs)
+        # the inverse-CDF table of ``sample``, built once
+        object.__setattr__(self, "_cum", np.cumsum(probs))
 
     def _values(self) -> np.ndarray:
         return np.arange(len(self.probs), dtype=np.float64)
@@ -388,7 +403,7 @@ class FiniteSupport(CountDistribution):
         return nonzero[-1]
 
     def sample(self, rng, size=None):
-        cum = np.cumsum(self.probs)
+        cum = self._cum
         if size is None:
             k = int(np.searchsorted(cum, rng.random(), side="right"))
             return min(k, len(self.probs) - 1)

@@ -13,7 +13,9 @@ Each decay law sums the history exactly: ``history_stepper(n)`` returns
 y_k = sum over lags i = 1..k of alpha_i u_{k-i}.  Each offspring sequence
 steps the tilt recursion of ``recursions`` the same way:
 ``tilt_stepper(n)`` returns ``step(k, f_{k-1})``, which gives the sum over
-lags i of log E[exp(f_{k-i} xi_i)].
+lags i of log E[exp(f_{k-i} xi_i)].  Each offspring sequence also draws a
+path itself: ``sample_counts(immigration, n, gen)`` returns X_1..X_n, a lag
+list step by step and a Poisson family generation by generation.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import CountDistribution, Poisson
+from .distributions import I64_MAX, POISSON_MEAN_MAX, CountDistribution, Poisson
 from .errors import AssumptionViolation, ConfigError
 from .spec import Spec, from_spec
 
@@ -215,6 +217,19 @@ class GeometricDecay(DecayLaw):
 
         return step
 
+    def history_sums(self, u: np.ndarray) -> np.ndarray:
+        """The stepper's recurrence run inline over a known sequence: the same bits, no call per step."""
+        y = np.zeros(len(u), dtype=np.float64)
+        if self.c == 0.0:
+            return y
+        c, r = self.c, self.r
+        s, sums = 0.0, []
+        for v in u[:-1].tolist():
+            s = r * s + c * v
+            sums.append(s)
+        y[1:] = sums
+        return y
+
 
 @dataclass(frozen=True)
 class PowerLawDecay(_DotDecay):
@@ -284,6 +299,15 @@ class FiniteDecay(_DotDecay):
         return 2.0, "finitely many nonzero lags, tail conditions hold trivially"
 
 
+# A Poisson family draws a generation child by child while its expected children are at
+# most this many per step, and by child time beyond, so a generation's entries stay O(n).
+_PER_CHILD_LIMIT = 4
+# A generation's births are tallied densely (bincount over all n steps) while n is at most
+# SLOPE times the births plus FLOOR, and by sorting otherwise, so the tally's work follows
+# the births rather than n; the two cost about the same at that boundary.
+_DENSE_TALLY_SLOPE, _DENSE_TALLY_FLOOR = 4, 4096
+
+
 def _fsum_or_inf(terms) -> float:
     """Exact sum of the terms, or +inf as soon as one of them is +inf."""
     kept = []
@@ -299,7 +323,8 @@ class OffspringSequence(Spec, family="offspring"):
 
     ``mean_decay()`` gives E[xi_k] and ``var_decay()`` gives Var[xi_k] at
     each lag k, so their history sums serve the expansion tables and the
-    conditional means.
+    conditional means.  Each subclass steps the tilt recursion
+    (``tilt_stepper``) and draws paths (``sample_counts``) in its own way.
     """
 
     def mean_l1(self) -> float:
@@ -380,6 +405,27 @@ class ExplicitOffspring(OffspringSequence):
 
         return step
 
+    def sample_counts(self, immigration: CountDistribution, n: int, gen) -> np.ndarray:
+        """Draw X_1..X_n one step at a time: the immigration, then each lag's offspring in lag order.
+
+        Lag i adds ``sample_sum`` over the count i steps back, when that
+        count is positive.  Counts are kept as Python ints, so a count past
+        the 64-bit maximum raises OverflowError before it is stored.
+        """
+        draw = immigration.sample
+        sample_sums = [law.sample_sum for law in self.laws]
+        x = []
+        for t in range(n):
+            total = draw(gen)
+            # reversed(x) runs back from the last count: lag 1, lag 2, ...
+            for sample_sum, cnt in zip(sample_sums, reversed(x)):
+                if cnt:
+                    total += sample_sum(gen, cnt)
+            if total > I64_MAX:
+                raise OverflowError(f"count at step {t + 1} exceeds the 64-bit integer maximum")
+            x.append(total)
+        return np.array(x, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class PoissonOffspring(OffspringSequence):
@@ -426,6 +472,73 @@ class PoissonOffspring(OffspringSequence):
                 return history(k, math.inf)
 
         return step
+
+    def sample_counts(self, immigration: CountDistribution, n: int, gen) -> np.ndarray:
+        """Draw X_1..X_n one generation at a time (the cluster representation).
+
+        Generation 0 is the immigration, drawn in one call.  A parent time s
+        holding c individuals of one generation has Poisson(c A(h)) children
+        in the next, where h = n - 1 - s is the number of lags left and
+        A(h) = alpha_1 + ... + alpha_h.  Each child's lag is k <= h with
+        probability alpha_k / A(h), drawn by inverse CDF on the cumsum.
+        This is exact in law over the whole history, and there are at most
+        n generations.  A generation whose expected children exceed
+        ``_PER_CHILD_LIMIT`` per step is drawn by child time instead
+        (``_children_by_time``), so no generation holds more than O(n)
+        entries however large the counts grow.
+
+        A Poisson mean or a count past the 64-bit range raises OverflowError.
+        """
+        x = immigration.sample(gen, size=n)
+        cum = np.cumsum(self.decay.coefficients(n - 1))  # cum[h - 1] = A(h)
+        last = n - 1
+        times = np.flatnonzero(x[:last])  # parent times with at least one lag left
+        counts = x[times]
+        while times.size:
+            mass = cum[last - times - 1]
+            lam = counts * mass
+            if lam.sum() > _PER_CHILD_LIMIT * n:
+                times, counts = self._children_by_time(times, counts, n, gen)
+            else:
+                kids = gen.poisson(lam)
+                births = np.repeat(times, kids)
+                u = gen.random(births.size) * np.repeat(mass, kids)
+                births += 1 + np.searchsorted(cum, u, side="right")
+                # u < 1 keeps u * A(h) below A(h), so the lag is at most h unless A(h) is subnormal
+                np.minimum(births, last, out=births)
+                if n <= _DENSE_TALLY_SLOPE * births.size + _DENSE_TALLY_FLOOR:
+                    born = np.bincount(births, minlength=n)
+                    times = np.flatnonzero(born)
+                    counts = born[times]
+                else:
+                    times, counts = np.unique(births, return_counts=True)
+            past = x[times]
+            wrap = counts > I64_MAX - past
+            if wrap.any():
+                at = times[wrap.argmax()] + 1
+                raise OverflowError(f"count at step {at} exceeds the 64-bit integer maximum")
+            x[times] = past + counts
+            keep = times < last
+            times, counts = times[keep], counts[keep]
+        return x
+
+    def _children_by_time(self, times: np.ndarray, counts: np.ndarray, n: int, gen) -> tuple:
+        """The next generation as (times, counts), one Poisson draw per child time.
+
+        By Poisson splitting and superposition, the children born at time t
+        are Poisson(sum over parents s of c_s alpha_{t-s}): the decay law's
+        history sum of the parents' counts, taken from the first parent on.
+        """
+        lo = times[0]
+        parents = np.zeros(n - lo, dtype=np.float64)
+        parents[times - lo] = counts
+        rate = self.decay.history_sums(parents)
+        if rate.max() > POISSON_MEAN_MAX:
+            at = lo + rate.argmax() + 1
+            raise OverflowError(f"offspring mean at step {at} exceeds the 64-bit integer range")
+        born = gen.poisson(rate)
+        at = np.flatnonzero(born)
+        return lo + at, born[at]
 
 
 @dataclass(frozen=True)

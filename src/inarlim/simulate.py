@@ -2,13 +2,22 @@
 
 The process starts from nothing: the first count is pure immigration, and
 each later count adds immigration to the offspring produced by all earlier
-counts.  No lag is dropped: the offspring rates and the conditional means
-sum over the whole history through the decay laws' history sums.
+counts.  No lag is dropped.  The offspring sequence draws the counts
+(``sample_counts``), each kind in its own way:
+
+* a lag list walks the path one step at a time, drawing the immigration
+  and then each lag's offspring sum in lag order;
+* a Poisson family draws all the immigration in one call and then one
+  generation at a time: each parent time's children within the horizon,
+  then each child's lag by inverse CDF on the cumulative lag means.
 
 Reproducibility contract: a ``RandomStream`` is an immutable descriptor
 (seed, stream index); the same descriptor always reproduces the same
 trajectory within one released version.  Batch replication r uses stream
-index r, so replications are independent and order-insensitive.
+index r, so replications are independent and order-insensitive.  Lag-list
+paths draw the same numbers as the per-step loop of earlier versions;
+Poisson-family paths draw different numbers since the generation sampler
+replaced that loop, with the same law.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FingerprintMismatch
-from .model import InarModel, PoissonOffspring, validate
+from .model import InarModel, validate
 
 __all__ = [
     "RandomStream",
@@ -29,8 +38,6 @@ __all__ = [
     "simulate_batch",
     "martingale_diagnostic",
 ]
-
-_I64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -81,47 +88,18 @@ class MartingaleDiagnostic:
 
 
 def simulate(m: InarModel, n: int, stream: RandomStream) -> Trajectory:
-    """Simulate counts X_1..X_n from empty history.
-
-    Immigration is drawn first at each step, then offspring lag by lag.
-    For Poisson offspring the per-step offspring total is drawn as a single
-    Poisson variate with rate sum_k alpha_k * X_{t-k}, the decay law's
-    history sum (exact, by additivity of independent Poissons); otherwise
-    each contributing count draws its variates individually.
+    """Simulate counts X_1..X_n from empty history; the offspring sequence draws them.
 
     Subcriticality is not enforced here: finite-horizon paths are well
     defined at and above the critical boundary (counts just explode, and
-    the 64-bit overflow guard then fires).  The limit-theory modules are
-    where the standing assumptions are required.
+    OverflowError is raised before a count or a Poisson mean passes the
+    64-bit range).  The limit-theory modules are where the standing
+    assumptions are required.
     """
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
-    gen = stream.generator()
-    poisson_family = isinstance(m.offspring, PoissonOffspring)
-    if poisson_family:
-        rate_after = m.offspring.decay.history_stepper(n)
-    else:
-        laws = m.offspring.laws
-
-    imm = m.immigration
-    x = np.zeros(n, dtype=np.int64)
-    total = 0
-    for t in range(n):
-        last, total = total, imm.sample(gen)
-        if poisson_family:
-            if t:
-                rate = rate_after(t, float(last))
-                if rate > 0.0:
-                    total += int(gen.poisson(rate))
-        else:
-            for lag in range(1, min(t, len(laws)) + 1):
-                cnt = int(x[t - lag])
-                if cnt:
-                    total += laws[lag - 1].sample_sum(gen, cnt)
-        if total > _I64_MAX:
-            raise OverflowError(f"count at step {t + 1} exceeds the 64-bit integer maximum")
-        x[t] = total
-    return Trajectory(counts=x, stream=stream, model_fingerprint=m.fingerprint())
+    counts = m.offspring.sample_counts(m.immigration, n, stream.generator())
+    return Trajectory(counts=counts, stream=stream, model_fingerprint=m.fingerprint())
 
 
 def simulate_batch(m: InarModel, n: int, reps: int, master: RandomStream) -> list:

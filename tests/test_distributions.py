@@ -233,6 +233,31 @@ def test_sample_sum_matches_law():
     assert abs(shortcut.var() - direct.var()) < 0.2
 
 
+@pytest.mark.parametrize("d", [d for d in ALL_DISTS if not isinstance(d, Poisson)], ids=repr)
+def test_sample_sum_draws_the_sum_of_sample_bitwise(d):
+    # every law but Poisson sums count individual draws: the same numbers, in the same order
+    for count in (1, 2, 7, 300):
+        a, b = RandomStream(seed=6).generator(), RandomStream(seed=6).generator()
+        assert d.sample_sum(a, count) == int(d.sample(b, size=count).sum())
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_finite_support_draws_by_its_cumulative_probabilities():
+    d = FiniteSupport((0.1, 0.0, 0.6, 0.3))
+    a, b = RandomStream(seed=2).generator(), RandomStream(seed=2).generator()
+    cum = np.cumsum(d.probs)
+    expected = np.minimum(np.searchsorted(cum, b.random(500), side="right"), 3)
+    assert d.sample(a, size=500).tolist() == expected.tolist()
+    assert d == FiniteSupport((0.1, 0.0, 0.6, 0.3)) and hash(d) == hash(FiniteSupport(d.probs))
+    assert "_cum" not in repr(d)
+
+
+def test_poisson_sample_sum_past_the_64_bit_range_raises_overflow():
+    rng = RandomStream(seed=1).generator()
+    with pytest.raises(OverflowError):
+        Poisson(3.0).sample_sum(rng, 2**62)
+
+
 def test_sample_sum_zero_count_draws_nothing():
     rng = RandomStream(seed=8).generator()
     state = rng.bit_generator.state

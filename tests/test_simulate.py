@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from inarlim import (
     ExplicitOffspring,
     FingerprintMismatch,
     FiniteDecay,
+    GeometricDecay,
     InarModel,
     Poisson,
     PoissonOffspring,
+    PowerLawDecay,
     RandomStream,
     martingale_diagnostic,
     simulate,
@@ -107,9 +110,29 @@ def test_lln_trend(bernoulli_ar1):
 
 
 def test_overflow_raises():
-    m = InarModel(Constant(1), ExplicitOffspring((Constant(20),)))
-    with pytest.raises(OverflowError):
-        simulate(m, 20, RandomStream(seed=0))
+    # a lag list, and three supercritical Poisson families whose means pass numpy's Poisson range
+    cases = [
+        (InarModel(Constant(1), ExplicitOffspring((Constant(20),))), 20),
+        (InarModel(Poisson(1.0), PoissonOffspring(GeometricDecay(0.6, 0.5))), 1000),
+        (InarModel(Poisson(1.0), PoissonOffspring(FiniteDecay((3.0,)))), 60),
+        (InarModel(Poisson(1.0), PoissonOffspring(PowerLawDecay(0.9, 2.0))), 2000),
+    ]
+    for m, n in cases:
+        with pytest.raises(OverflowError):
+            simulate(m, n, RandomStream(seed=0))
+
+
+def test_exploding_path_keeps_memory_bounded():
+    # mass 1.2: counts reach about 1e13 by n = 300, yet a generation holds O(n) entries
+    m = InarModel(Poisson(1.0), PoissonOffspring(GeometricDecay(0.6, 0.5)))
+    tracemalloc.start()
+    try:
+        counts = simulate(m, 300, RandomStream(seed=0)).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[-1] > 10**9
+    assert peak < 32 * 2**20
 
 
 def test_martingale_zero_for_deterministic_model():
