@@ -503,9 +503,9 @@ class PoissonOffspring(OffspringSequence):
                 kids = gen.poisson(lam)
                 births = np.repeat(times, kids)
                 u = gen.random(births.size) * np.repeat(mass, kids)
+                # u < 1 keeps u * A(h) below A(h), so the lag is at most h: a child is only
+                # ever drawn where A(h) is a normal float, as Poisson(c A(h)) is 0 otherwise
                 births += 1 + np.searchsorted(cum, u, side="right")
-                # u < 1 keeps u * A(h) below A(h), so the lag is at most h unless A(h) is subnormal
-                np.minimum(births, last, out=births)
                 if n <= _DENSE_TALLY_SLOPE * births.size + _DENSE_TALLY_FLOOR:
                     born = np.bincount(births, minlength=n)
                     times = np.flatnonzero(born)

@@ -62,19 +62,8 @@ def _lag_law(kind: int, mean: float, split: float, trials: int):
 
 
 @st.composite
-def count_laws(draw, max_mean: float):
-    return _lag_law(
-        draw(st.integers(0, 5)),
-        draw(st.floats(0.01, max_mean)),
-        draw(st.floats(0.0, 1.0)),
-        draw(st.integers(1, 3)),
-    )
-
-
-immigration = st.one_of(
-    count_laws(0.95),
-    st.integers(0, 2).map(Constant),
-)
+def count_laws(draw, mean: float):
+    return _lag_law(draw(st.integers(0, 5)), mean, draw(st.floats(0.0, 1.0)), draw(st.integers(1, 3)))
 
 
 @st.composite
@@ -82,16 +71,9 @@ def lag_list_models(draw):
     """1-4 lags of the six kinds of count laws, with mean_l1 below 1."""
     mean_l1 = draw(st.floats(0.05, 0.95))
     weights = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
-    laws = tuple(
-        _lag_law(
-            draw(st.integers(0, 5)),
-            mean_l1 * w / sum(weights),
-            draw(st.floats(0.0, 1.0)),
-            draw(st.integers(1, 3)),
-        )
-        for w in weights
-    )
-    return InarModel(draw(immigration), ExplicitOffspring(laws))
+    laws = tuple(draw(count_laws(mean_l1 * w / sum(weights))) for w in weights)
+    immigration = draw(st.one_of(st.floats(0.01, 0.95).flatmap(count_laws), st.integers(0, 2).map(Constant)))
+    return InarModel(immigration, ExplicitOffspring(laws))
 
 
 @settings(max_examples=60)
@@ -132,13 +114,9 @@ def poisson_family_models(draw):
     return InarModel(imm, PoissonOffspring(decay))
 
 
-def _sums(sim, m, n, reps, seed):
-    return np.array([sim(m, n, RandomStream(seed=seed, stream=r)).counts.sum() for r in range(reps)])
-
-
-def _sums_and_lasts(m, n, reps, seed):
-    """S_n and X_n of each replication, as floats."""
-    paths = [simulate(m, n, RandomStream(seed=seed, stream=r)).counts for r in range(reps)]
+def _sums_and_lasts(sim, m, n, reps, seed):
+    """S_n and X_n of each replication, as floats; replication r uses stream r."""
+    paths = [sim(m, n, RandomStream(seed=seed, stream=r)).counts for r in range(reps)]
     return np.array([[x.sum(), x[-1]] for x in paths], dtype=np.float64).T
 
 
@@ -146,7 +124,8 @@ def _sums_and_lasts(m, n, reps, seed):
 @given(m=poisson_family_models(), n=st.integers(2, 120))
 def test_poisson_families_match_the_reference_in_law(m, n):
     reps = 400
-    ours, theirs = _sums(simulate, m, n, reps, 1), _sums(simulate_reference, m, n, reps, 2)
+    ours = _sums_and_lasts(simulate, m, n, reps, 1)[0]
+    theirs = _sums_and_lasts(simulate_reference, m, n, reps, 2)[0]
     assert ks_2samp(ours, theirs).pvalue > KS_LEVEL
 
 
@@ -154,7 +133,7 @@ def test_poisson_families_match_the_reference_in_law(m, n):
 @given(m=poisson_family_models(), n=st.integers(1, 300))
 def test_poisson_families_have_the_exact_mean_and_variance(m, n):
     reps = 1000
-    sums, lasts = _sums_and_lasts(m, n, reps, 3)
+    sums, lasts = _sums_and_lasts(simulate, m, n, reps, 3)
     tables = gbar_tables(m, n)
     imm = m.immigration
     mean = imm.mean() * tables.sum_g1
