@@ -490,12 +490,13 @@ class PoissonOffspring(OffspringSequence):
         A Poisson mean or a count past the 64-bit range raises OverflowError.
         """
         x = immigration.sample(gen, size=n)
-        cum = np.cumsum(self.decay.coefficients(n - 1))  # cum[h - 1] = A(h)
-        last = n - 1
-        times = np.flatnonzero(x[:last])  # parent times with at least one lag left
+        cum = np.zeros(n, dtype=np.float64)  # cum[h] = A(h), with A(0) = 0
+        np.cumsum(self.decay.coefficients(n - 1), out=cum[1:])
+        mass_left = cum[::-1]  # mass_left[s] = A(n - 1 - s), the mass of the lags left after s
+        times = np.flatnonzero(x[:-1])
         counts = x[times]
         while times.size:
-            mass = cum[last - times - 1]
+            mass = mass_left[times]
             lam = counts * mass
             if lam.sum() > _PER_CHILD_LIMIT * n:
                 times, counts = self._children_by_time(times, counts, n, gen)
@@ -503,9 +504,9 @@ class PoissonOffspring(OffspringSequence):
                 kids = gen.poisson(lam)
                 births = np.repeat(times, kids)
                 u = gen.random(births.size) * np.repeat(mass, kids)
-                # u < 1 keeps u * A(h) below A(h), so the lag is at most h: a child is only
-                # ever drawn where A(h) is a normal float, as Poisson(c A(h)) is 0 otherwise
-                births += 1 + np.searchsorted(cum, u, side="right")
+                # the lag k with A(k - 1) <= u < A(k); u < 1 keeps u * A(h) below A(h), so k <= h
+                # (a child is only ever drawn where A(h) is a normal float)
+                births += np.searchsorted(cum, u, side="right")
                 if n <= _DENSE_TALLY_SLOPE * births.size + _DENSE_TALLY_FLOOR:
                     born = np.bincount(births, minlength=n)
                     times = np.flatnonzero(born)
@@ -518,8 +519,6 @@ class PoissonOffspring(OffspringSequence):
                 at = times[wrap.argmax()] + 1
                 raise OverflowError(f"count at step {at} exceeds the 64-bit integer maximum")
             x[times] = past + counts
-            keep = times < last
-            times, counts = times[keep], counts[keep]
         return x
 
     def _children_by_time(self, times: np.ndarray, counts: np.ndarray, n: int, gen) -> tuple:
