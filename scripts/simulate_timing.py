@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Best-of-k wall time of one ``simulate`` path, per kernel and horizon.
 
-The kernels are the five fixtures of the benchmark's Monte Carlo battery
-and two near-critical geometric Hawkes kernels (mean_l1 = 0.9 and 0.95,
-ratio 0.5, Poisson(1) immigration).  Each time is the fastest of
+The kernels are the five fixtures of the benchmark's Monte Carlo battery,
+two near-critical geometric Hawkes kernels (mean_l1 = 0.9 and 0.95,
+ratio 0.5, Poisson(1) immigration) and a power law of mean_l1 = 0.9
+(a = 2) with Poisson(10) immigration, whose first generations are drawn
+by child time.  Each time is the fastest of
 ``--repeats`` paths, on streams 0, 1, ... of seed 1, in milliseconds.
 Run it against another checkout with PYTHONPATH pointing at its ``src``
 to compare two versions on the same machine.
 """
 
 import argparse
+import math
 import time
 
 from inarlim import (
@@ -40,6 +43,10 @@ def kernels() -> dict:
         ),
         "power_law": InarModel(Poisson(1.0), PoissonOffspring(PowerLawDecay(c=0.3, a=2.0))),
         **hawkes,
+        # c * zeta(2) = 0.9
+        "power_law_0.9_imm10": InarModel(
+            Poisson(10.0), PoissonOffspring(PowerLawDecay(c=0.9 * 6.0 / math.pi**2, a=2.0))
+        ),
     }
 
 

@@ -111,17 +111,8 @@ class DecayLaw(Spec, family="decay"):
 
     ``history_stepper(n)`` steps y_k = sum over i = 1..k of alpha_i u_{k-i}
     (see the module docstring); ``history_sums(u)`` gives every y_k of a
-    sequence known in advance.
+    sequence u known in advance, with y_0 = 0.
     """
-
-    def history_sums(self, u: np.ndarray) -> np.ndarray:
-        """Every y_k = sum_i alpha_i u[k-i] of a known sequence u, with y_0 = 0."""
-        n = len(u)
-        step = self.history_stepper(n)
-        y = np.zeros(n, dtype=np.float64)
-        for k, v in enumerate(u[:-1].tolist(), start=1):
-            y[k] = step(k, v)
-        return y
 
 
 class _DotDecay(DecayLaw):
@@ -158,15 +149,6 @@ class _DotDecay(DecayLaw):
             return inf if (a[hit] > 0.0).any() else float(dot(np.where(hit, 0.0, x), a))
 
         return step
-
-    def history_sums(self, u: np.ndarray) -> np.ndarray:
-        """One full convolution of u with the coefficients."""
-        n = len(u)
-        y = np.zeros(n, dtype=np.float64)
-        alpha = self.coefficients(self._lags(n))
-        if alpha.size:
-            y[1:] = np.convolve(u, alpha)[: n - 1]
-        return y
 
 
 @dataclass(frozen=True)
@@ -256,6 +238,22 @@ class PowerLawDecay(_DotDecay):
     def _lags(self, n: int) -> int:
         return n - 1
 
+    def history_sums(self, u: np.ndarray) -> np.ndarray:
+        """One FFT convolution of u with the n - 1 coefficients: O(n log n) where a direct one is O(n**2).
+
+        Each sum's rounding error is a few ulps of the largest sum, not of
+        itself, so a sum far below the others may lose its digits or come
+        out just below 0.
+        """
+        n = len(u)
+        y = np.zeros(n, dtype=np.float64)
+        if n < 2 or self.c == 0.0:
+            return y
+        size = 1 << (2 * n - 3).bit_length()  # no wrap-around into the n - 1 sums kept
+        spectrum = np.fft.rfft(u[:-1], size) * np.fft.rfft(self.coefficients(n - 1), size)
+        y[1:] = np.fft.irfft(spectrum, size)[: n - 1]
+        return y
+
     def poly_sup(self, power: float) -> float:
         """sup over k >= 1 of k**power * c * k**(-a): attained at k = 1 unless power > a."""
         if self.c == 0.0:
@@ -292,6 +290,15 @@ class FiniteDecay(_DotDecay):
     def _lags(self, n: int) -> int:
         return min(n - 1, len(self.values))
 
+    def history_sums(self, u: np.ndarray) -> np.ndarray:
+        """One direct convolution of u with the listed coefficients: O(n L) for L lags, exact zeros kept."""
+        n = len(u)
+        y = np.zeros(n, dtype=np.float64)
+        alpha = self.coefficients(self._lags(n))
+        if alpha.size:
+            y[1:] = np.convolve(u, alpha)[: n - 1]
+        return y
+
     def poly_sup(self, power: float) -> float:
         return max((k**power * v for k, v in enumerate(self.values, start=1)), default=0.0)
 
@@ -302,10 +309,6 @@ class FiniteDecay(_DotDecay):
 # A Poisson family draws a generation child by child while its expected children are at
 # most this many per step, and by child time beyond, so a generation's entries stay O(n).
 _PER_CHILD_LIMIT = 4
-# A generation's births are tallied densely (bincount over all n steps) while n is at most
-# SLOPE times the births plus FLOOR, and by sorting otherwise, so the tally's work follows
-# the births rather than n; the two cost about the same at that boundary.
-_DENSE_TALLY_SLOPE, _DENSE_TALLY_FLOOR = 4, 4096
 
 
 def _fsum_or_inf(terms) -> float:
@@ -507,12 +510,7 @@ class PoissonOffspring(OffspringSequence):
                 # the lag k with A(k - 1) <= u < A(k); u < 1 keeps u * A(h) below A(h), so k <= h
                 # (a child is only ever drawn where A(h) is a normal float)
                 births += np.searchsorted(cum, u, side="right")
-                if n <= _DENSE_TALLY_SLOPE * births.size + _DENSE_TALLY_FLOOR:
-                    born = np.bincount(births, minlength=n)
-                    times = np.flatnonzero(born)
-                    counts = born[times]
-                else:
-                    times, counts = np.unique(births, return_counts=True)
+                times, counts = np.unique(births, return_counts=True)
             past = x[times]
             wrap = counts > I64_MAX - past
             if wrap.any():
@@ -526,7 +524,8 @@ class PoissonOffspring(OffspringSequence):
 
         By Poisson splitting and superposition, the children born at time t
         are Poisson(sum over parents s of c_s alpha_{t-s}): the decay law's
-        history sum of the parents' counts, taken from the first parent on.
+        history sum of the parents' counts, taken from the first parent on
+        (a power law's FFT sum may round a tiny rate below 0, read as 0).
         """
         lo = times[0]
         parents = np.zeros(n - lo, dtype=np.float64)
@@ -535,7 +534,7 @@ class PoissonOffspring(OffspringSequence):
         if rate.max() > POISSON_MEAN_MAX:
             at = lo + rate.argmax() + 1
             raise OverflowError(f"offspring mean at step {at} exceeds the 64-bit integer range")
-        born = gen.poisson(rate)
+        born = gen.poisson(np.maximum(rate, 0.0))
         at = np.flatnonzero(born)
         return lo + at, born[at]
 
