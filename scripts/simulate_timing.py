@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Best-of-k wall time of one ``simulate`` path, per kernel and horizon.
 
-The kernels are the five fixtures of the benchmark's Monte Carlo battery,
-two near-critical geometric Hawkes kernels (mean_l1 = 0.9 and 0.95,
-ratio 0.5, Poisson(1) immigration) and a power law of mean_l1 = 0.9
-(a = 2) with Poisson(10) immigration, whose first generations are drawn
-by child time.  Each time is the fastest of
-``--repeats`` paths, on streams 0, 1, ... of seed 1, in milliseconds.
+The kernels are the five fixtures of the benchmark's Monte Carlo battery;
+a lag list with a Binomial(2, 0.2) lag and Bernoulli(0.5) immigration,
+which stays on the per-step loop (a Binomial variate is not one uniform,
+so the tape of the other lag lists does not apply); two near-critical
+geometric Hawkes kernels (mean_l1 = 0.9 and 0.95, ratio 0.5, Poisson(1)
+immigration); and a power law of mean_l1 = 0.9 (a = 2) with Poisson(10)
+immigration, whose first generations are drawn by child time.  Each time
+is the fastest of ``--repeats`` paths, on streams 0, 1, ... of seed 1, in
+milliseconds.
 Run it against another checkout with PYTHONPATH pointing at its ``src``
 to compare two versions on the same machine.
 """
@@ -17,6 +20,7 @@ import time
 
 from inarlim import (
     Bernoulli,
+    Binomial,
     ExplicitOffspring,
     FiniteSupport,
     GeometricDecay,
@@ -42,6 +46,7 @@ def kernels() -> dict:
             FiniteSupport((0.3, 0.5, 0.2)), ExplicitOffspring((FiniteSupport((0.7, 0.2, 0.1)),))
         ),
         "power_law": InarModel(Poisson(1.0), PoissonOffspring(PowerLawDecay(c=0.3, a=2.0))),
+        "binomial_lag": InarModel(Bernoulli(0.5), ExplicitOffspring((Binomial(2, 0.2),))),
         **hawkes,
         # c * zeta(2) = 0.9
         "power_law_0.9_imm10": InarModel(

@@ -78,7 +78,15 @@ class CountDistribution(Spec, family="distribution"):
     argument; everything else is pure.  ``sample_sum`` draws the sum of
     ``count`` independent copies, by default as ``count`` individual
     variates (exact, O(count) work).
+
+    A law whose every variate is one ``rng.random()`` uniform put through a
+    fixed map defines ``from_uniforms(u)``, that map on an array of
+    uniforms, and samples through it, so a block of uniforms drawn in one
+    call gives the variates that one call per variate would; for every
+    other law ``from_uniforms`` is None.
     """
+
+    from_uniforms = None
 
     def sample_sum(self, rng: np.random.Generator, count: int) -> int:
         if count == 0:
@@ -220,16 +228,13 @@ class Bernoulli(Binomial):
             return self.p
         return 0.0
 
+    def from_uniforms(self, u):
+        return u < self.p
+
     def sample(self, rng, size=None):
         if size is None:
-            return int(rng.random() < self.p)
-        return (rng.random(size) < self.p).astype(np.int64)
-
-    def sample_sum(self, rng, count: int) -> int:
-        # the uniforms of sample(rng, size=count), counted without the int64 copy
-        if count == 0:
-            return 0
-        return int(np.count_nonzero(rng.random(count) < self.p))
+            return int(self.from_uniforms(rng.random()))
+        return self.from_uniforms(rng.random(size)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -402,13 +407,14 @@ class FiniteSupport(CountDistribution):
         nonzero = [k for k, q in enumerate(self.probs) if q > 0.0]
         return nonzero[-1]
 
+    def from_uniforms(self, u):
+        # inverse CDF; the clip keeps a uniform above a cumsum rounded below 1 on the support
+        return np.minimum(np.searchsorted(self._cum, u, side="right"), len(self.probs) - 1)
+
     def sample(self, rng, size=None):
-        cum = self._cum
         if size is None:
-            k = int(np.searchsorted(cum, rng.random(), side="right"))
-            return min(k, len(self.probs) - 1)
-        draws = np.searchsorted(cum, rng.random(size), side="right")
-        return np.minimum(draws, len(self.probs) - 1).astype(np.int64)
+            return int(self.from_uniforms(rng.random()))
+        return self.from_uniforms(rng.random(size)).astype(np.int64)
 
 
 def dist_from_spec(obj) -> CountDistribution:

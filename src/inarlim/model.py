@@ -15,7 +15,11 @@ steps the tilt recursion of ``recursions`` the same way:
 ``tilt_stepper(n)`` returns ``step(k, f_{k-1})``, which gives the sum over
 lags i of log E[exp(f_{k-i} xi_i)].  Each offspring sequence also draws a
 path itself: ``sample_counts(immigration, n, gen)`` returns X_1..X_n, a lag
-list step by step and a Poisson family generation by generation.
+list step by step and a Poisson family generation by generation.  A lag
+list whose immigration and laws each read one uniform per variate
+(``from_uniforms``) reads them from a tape of uniforms drawn in blocks:
+the same uniforms in the same order as its per-step loop, so the same
+counts.
 """
 
 from __future__ import annotations
@@ -311,6 +315,57 @@ class FiniteDecay(_DotDecay):
 _PER_CHILD_LIMIT = 4
 
 
+# A lag-list tape draws blocks of 2n + 64 uniforms, at most this many, so a short path
+# builds no tables it will not read and a long one keeps no tables of millions of ints.
+_TAPE_BLOCK_MAX = 4096
+
+
+def _counts_from_tape(imm_map, lag_maps, n: int, gen) -> np.ndarray:
+    """X_1..X_n of a lag list whose laws each read one uniform per variate, from a tape of uniforms.
+
+    Step t reads the uniforms the per-step loop reads, in its order: one for
+    the immigration, then x[t - i] for lag i.  Each block of uniforms
+    becomes Python tables: the immigration's draw at each position, and the
+    prefix sums of each lag law's draws, so a lag's offspring sum is one
+    difference.  The uniforms a step leaves unread are carried into the
+    next block; a step that needs more than a block reads its own
+    uniforms, summed by numpy.
+    """
+    lags = len(lag_maps)
+    block = min(2 * n + 64, _TAPE_BLOCK_MAX)
+    tape = np.empty(0)
+    pos = end = 0
+    x = []
+    for _ in range(n):
+        recent = x[: -lags - 1 : -1]  # lag 1, lag 2, ...
+        need = 1 + sum(recent)
+        if pos + need > end:
+            if need > block:
+                u = np.concatenate((tape[pos:], gen.random(need - (end - pos))))
+                total, at = int(imm_map(u[0])), 1
+                for lag_map, c in zip(lag_maps, recent):
+                    total += int(lag_map(u[at : at + c]).sum())
+                    at += c
+                x.append(total)
+                pos = end  # the block is read up
+                continue
+            tape = np.concatenate((tape[pos:], gen.random(block)))
+            pos, end = 0, len(tape)
+            imm = imm_map(tape).tolist()
+            sums = []
+            for lag_map in lag_maps:
+                prefix = np.zeros(end + 1, dtype=np.int64)
+                np.cumsum(lag_map(tape), out=prefix[1:])
+                sums.append(prefix.tolist())
+        total = imm[pos]
+        pos += 1
+        for prefix, c in zip(sums, recent):
+            total += prefix[pos + c] - prefix[pos]
+            pos += c
+        x.append(total)
+    return np.array(x, dtype=np.int64)
+
+
 def _fsum_or_inf(terms) -> float:
     """Exact sum of the terms, or +inf as soon as one of them is +inf."""
     kept = []
@@ -413,8 +468,16 @@ class ExplicitOffspring(OffspringSequence):
 
         Lag i adds ``sample_sum`` over the count i steps back, when that
         count is positive.  Counts are kept as Python ints, so a count past
-        the 64-bit maximum raises OverflowError before it is stored.
+        the 64-bit maximum raises OverflowError before it is stored.  When
+        the immigration and every lag law read one uniform per variate
+        (``from_uniforms``), the uniforms come from a tape drawn in blocks
+        instead (``_counts_from_tape``): the counts are the loop's bit for
+        bit, but the generator's state on return differs, and is not part
+        of the contract.
         """
+        maps = [immigration.from_uniforms] + [law.from_uniforms for law in self.laws]
+        if None not in maps:
+            return _counts_from_tape(maps[0], maps[1:], n, gen)
         draw = immigration.sample
         sample_sums = [law.sample_sum for law in self.laws]
         x = []
@@ -543,6 +606,7 @@ class PoissonOffspring(OffspringSequence):
 class InarModel(Spec, family="model"):
     immigration: CountDistribution
     offspring: OffspringSequence
+    _fingerprint: str | None = field(default=None, init=False, compare=False, repr=False)
     SPEC = (None, {"immigration": "immigration", "offspring": "offspring"})
 
     def __post_init__(self):
@@ -552,8 +616,11 @@ class InarModel(Spec, family="model"):
             raise ConfigError(f"offspring must be an offspring sequence, got {self.offspring!r}")
 
     def fingerprint(self) -> str:
-        canon = json.dumps(self.to_spec(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        """The first 16 hex digits of the SHA-256 of the canonical spec, computed once: the model is frozen."""
+        if self._fingerprint is None:
+            canon = json.dumps(self.to_spec(), sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_fingerprint", hashlib.sha256(canon.encode()).hexdigest()[:16])
+        return self._fingerprint
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ counts.  No lag is dropped.  The offspring sequence draws the counts
 (``sample_counts``), each kind in its own way:
 
 * a lag list walks the path one step at a time, drawing the immigration
-  and then each lag's offspring sum in lag order;
+  and then each lag's offspring sum in lag order; when the immigration
+  and every lag law read one uniform per variate (Bernoulli,
+  finite-support), the uniforms come from a tape, drawn in blocks, and
+  each step costs a few table lookups, with the draws of the loop;
 * a Poisson family draws all the immigration in one call and then one
   generation at a time: each parent time's children within the horizon,
   then each child's lag by inverse CDF on the cumulative lag means.
@@ -15,9 +18,12 @@ Reproducibility contract: a ``RandomStream`` is an immutable descriptor
 (seed, stream index); the same descriptor always reproduces the same
 trajectory within one released version.  Batch replication r uses stream
 index r, so replications are independent and order-insensitive.  Lag-list
-paths draw the same numbers as the per-step loop of earlier versions;
-Poisson-family paths draw different numbers since the generation sampler
-replaced that loop, with the same law.
+paths draw the same numbers as the per-step loop of earlier versions,
+from the tape too; Poisson-family paths draw different numbers since the
+generation sampler replaced that loop, with the same law.  The
+generator's state after the draws is not part of the contract: the tape
+draws uniforms it may leave unread, and ``simulate`` discards the
+generator.
 """
 
 from __future__ import annotations

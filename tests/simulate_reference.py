@@ -3,8 +3,9 @@
 Each step draws the immigration, then the offspring of the earlier counts.
 A Poisson family draws one Poisson total per step, with the decay law's
 history sum as its rate; a lag list draws each lag's ``sample_sum`` in lag
-order.  The package's lag-list loop must match it bit for bit; its
-Poisson families must match it in law.
+order.  The package's lag lists, on the loop or on the tape of
+uniforms, must match it bit for bit; its Poisson families must match it
+in law.
 """
 
 import numpy as np

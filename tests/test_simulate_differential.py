@@ -1,8 +1,9 @@
 """Differential checks of ``simulate`` against the per-step reference loop.
 
 ``simulate_reference`` keeps the loop the package used before Poisson
-families were drawn by generations.  Lag lists still walk the same loop in
-the package, so they must match it bit for bit, stream by stream.  Poisson
+families were drawn by generations.  Lag lists still draw the same
+numbers in the package, on the same loop or from a tape of uniforms, so
+they must match it bit for bit, stream by stream.  Poisson
 families draw other numbers from the same law, so they must match it in
 law: by a two-sample KS test on S_n, and by the exact mean and variance of
 S_n and the exact mean of X_n from the expansion tables,
@@ -17,7 +18,7 @@ fixed seeds, so each verdict is the same on every run.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import zeta
 from scipy.stats import ks_2samp
 
@@ -78,6 +79,22 @@ def lag_list_models(draw):
 
 @settings(max_examples=60)
 @given(m=lag_list_models(), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+# mean_l1 = 0.9: 2,500-2,900 uniforms a path, over four or five blocks of the tape
+@example(
+    m=InarModel(FiniteSupport((0.5, 0.3, 0.2)), ExplicitOffspring((FiniteSupport((0.3, 0.5, 0.2)),))),
+    n=300,
+    seed=0,
+)
+# supercritical (mean 1.6): late steps each need more than a block; counts stay below 5,000
+@example(
+    m=InarModel(FiniteSupport((0.1, 0.2, 0.7)), ExplicitOffspring((FiniteSupport((0.1, 0.2, 0.7)),))),
+    n=15,
+    seed=0,
+)
+@example(m=InarModel(Bernoulli(0.5), ExplicitOffspring((Bernoulli(0.4),))), n=1, seed=0)
+@example(m=InarModel(Bernoulli(0.5), ExplicitOffspring((Bernoulli(0.35), Bernoulli(0.25)))), n=2, seed=0)
+# a Binomial lag reads more than one uniform per variate: the list stays on the loop
+@example(m=InarModel(Bernoulli(0.5), ExplicitOffspring((Bernoulli(0.3), Binomial(2, 0.2)))), n=300, seed=0)
 def test_lag_lists_draw_the_reference_numbers_bitwise(m, n, seed):
     for r in range(3):
         stream = RandomStream(seed=seed, stream=r)
