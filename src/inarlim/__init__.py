@@ -44,6 +44,7 @@ from .recursions import (
     MgfRecursion,
     cesaro_check,
     gbar_tables,
+    log_mgf_by_horizon,
     log_mgf_exact,
     mdp_mgf_curve,
     mdp_scaled_limit,

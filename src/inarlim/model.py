@@ -8,12 +8,17 @@ assumptions (subcriticality etc.) are checked by :func:`validate` so that
 violating models can still be inspected and reported on.
 
 Every count depends on its whole history, and no lag is ever dropped.
-Each decay law sums the history exactly: ``history_stepper(n)`` returns
-``step(k, u_{k-1})``, which, called for k = 1, 2, ... in order, gives
-y_k = sum over lags i = 1..k of alpha_i u_{k-i}.  Each offspring sequence
-steps the tilt recursion of ``recursions`` the same way:
-``tilt_stepper(n)`` returns ``step(k, f_{k-1})``, which gives the sum over
-lags i of log E[exp(f_{k-i} xi_i)].  Each offspring sequence also draws a
+The two exact recursions of ``recursions`` each run as one whole-horizon
+loop per kernel kind.  ``tilts(theta, f)`` of an offspring sequence
+writes the tilts f_1, f_2, ... of the tilt recursion, where f_k is theta
+plus the sum over lags i of log E[exp(f_{k-i} xi_i)]: a Poisson family
+hands its decay law the sum of expm1(f) (``poisson_tilts``), and a lag
+list sums each lag's log-MGF.  ``expansion_tables(variances, n)`` of the
+lag means' decay law gives the g1/g2 expansion tables.  A geometric
+kernel carries each history sum in one running state, a finite list of
+one lag in one product, and power laws and longer lists take one dot
+product over the lags they have.  ``history_sums(u)`` gives the history
+sums of a sequence known in advance.  Each offspring sequence also draws a
 path itself: ``sample_counts(immigration, n, gen)`` returns X_1..X_n, a lag
 list step by step and a Poisson family generation by generation.  A lag
 list whose immigration and laws each read one uniform per variate
@@ -105,17 +110,64 @@ def hurwitz_zeta(x: float, q: float) -> float:
     return s
 
 
-def _no_offspring(k: int, last: float) -> float:
-    """History sum of a law without offspring, and its tilt step: always 0."""
-    return 0.0
+def _constant_tilts(theta: float, f: np.ndarray) -> int:
+    """The tilts without offspring: f_k = theta + 0.0 after the first (see ``poisson_tilts``)."""
+    f[0] = theta
+    later = theta + 0.0
+    if len(f) > 1 and not math.isfinite(later):
+        return 1
+    f[1:] = later
+    return len(f)
+
+
+def _new_tables(n: int) -> tuple:
+    """g1, g1^2 and g2 at horizon n, their first entries set to 1, 1 and 0."""
+    g1, g1sq, g2 = np.empty(n), np.empty(n), np.empty(n)
+    g1[0], g1sq[0], g2[0] = 1.0, 1.0, 0.0
+    return g1, g1sq, g2
+
+
+def _running_tables(c: float, r: float, c_var: float, r_var: float, n: int) -> tuple:
+    """The expansion tables with each history sum a running sum y_k = r y_{k-1} + c u_{k-1}.
+
+    The lag means are c r**(k-1) and the lag variances c_var r_var**(k-1).
+    With r = 0 a sum is c u_{k-1} exactly (0.0 * y adds +0.0 to a
+    nonnegative term), the length-1 dot of a one-lag list.
+    """
+    g1, g1sq, g2 = _new_tables(n)
+    # item stores from Python floats
+    out1, out1sq, out2 = memoryview(g1), memoryview(g1sq), memoryview(g2)
+    s1 = s1sq = s2 = 0.0
+    a, a_sq, b = 1.0, 1.0, 0.0
+    for k in range(1, n):
+        s2 = r * s2 + c * b
+        s1sq = r_var * s1sq + c_var * a_sq
+        b = s2 + 0.5 * s1sq
+        s1 = r * s1 + c * a
+        a = 1.0 + s1
+        a_sq = a * a
+        out1[k] = a
+        out1sq[k] = a_sq
+        out2[k] = b
+    return g1, g1sq, g2
 
 
 class DecayLaw(Spec, family="decay"):
-    """Base class of the per-lag mean laws: coefficients, total and the whole-history sum.
+    """Base class of the per-lag mean laws: coefficients, total and the whole-history sums.
 
-    ``history_stepper(n)`` steps y_k = sum over i = 1..k of alpha_i u_{k-i}
-    (see the module docstring); ``history_sums(u)`` gives every y_k of a
-    sequence u known in advance, with y_0 = 0.
+    A history sum is y_k = sum over i = 1..k of alpha_i u_{k-i}.
+    ``history_sums(u)`` gives every y_k of a sequence u known in advance,
+    with y_0 = 0.  The recursions, whose u depends on the y before it, run
+    as one loop each:
+
+    * ``poisson_tilts(theta, f)`` writes f_1 = theta, f_k = theta + y_k
+      with u = expm1(f) into f, the tilts of a Poisson family with these
+      lag means.  An expm1 that overflows is +inf, and +inf at a lag of
+      zero mean adds 0.  It stops before the first infinite tilt and
+      returns the number of tilts written.
+    * ``expansion_tables(variances, n)`` gives the tables (g1, g1^2, g2)
+      of ``recursions.gbar_tables``, these laws the lag means and
+      ``variances`` the lag variances, of the same kind and lags.
     """
 
 
@@ -123,36 +175,64 @@ class _DotDecay(DecayLaw):
     """A decay law without a short recurrence: each history sum is one dot product.
 
     The dot runs over the lags the law has, up to n - 1 at horizon n
-    (``_lags``); an infinite u at a lag with zero mean adds 0.
+    (``_lags``), as one contiguous dot of the kept values with the reversed
+    coefficients.
     """
 
-    def history_stepper(self, n: int):
-        """Step y_k as one contiguous dot of the kept values with the reversed coefficients."""
+    def poisson_tilts(self, theta: float, f: np.ndarray) -> int:
+        n = len(f)
         alpha_rev = np.ascontiguousarray(self.coefficients(self._lags(n))[::-1])
         if not alpha_rev.any():
-            return _no_offspring
+            return _constant_tilts(theta, f)
         lags = len(alpha_rev)
-        u = np.empty(n, dtype=np.float64)
-        kept = memoryview(u)  # item stores from Python floats
-        dot, inf = np.dot, math.inf
+        u = np.empty(n, dtype=np.float64)  # expm1 of each tilt
+        kept, out = memoryview(u), memoryview(f)  # item stores from Python floats
+        dot, expm1, isfinite, inf = np.dot, math.expm1, math.isfinite, math.inf
         overflowed = False
-
-        def step(k: int, last: float) -> float:
-            nonlocal overflowed
-            kept[k - 1] = last
+        f[0] = last = theta
+        for k in range(1, n):
+            try:
+                e = expm1(last)
+            except OverflowError:
+                e = inf
+            kept[k - 1] = e
             if k >= lags:
                 x, a = u[k - lags : k], alpha_rev
             else:
                 x, a = u[:k], alpha_rev[lags - k :]
-            if last == inf:
+            if e == inf:
                 overflowed = True
             if not overflowed:
-                return float(dot(x, a))
-            # an infinite value at a lag with zero mean adds 0, where the dot would give nan
-            hit = x == inf
-            return inf if (a[hit] > 0.0).any() else float(dot(np.where(hit, 0.0, x), a))
+                s = float(dot(x, a))
+            else:
+                # an infinite value at a lag with zero mean adds 0, where the dot would give nan
+                hit = x == inf
+                s = inf if (a[hit] > 0.0).any() else float(dot(np.where(hit, 0.0, x), a))
+            last = theta + s
+            if not isfinite(last):
+                return k
+            out[k] = last
+        return n
 
-        return step
+    def expansion_tables(self, variances: DecayLaw, n: int) -> tuple:
+        """Three contiguous dots a step, over the lags the laws have."""
+        lags = self._lags(n)
+        mean_rev = np.ascontiguousarray(self.coefficients(lags)[::-1])
+        var_rev = np.ascontiguousarray(variances.coefficients(lags)[::-1])
+        g1, g1sq, g2 = _new_tables(n)
+        out1, out1sq, out2 = memoryview(g1), memoryview(g1sq), memoryview(g2)
+        dot = np.dot
+        for k in range(1, n):
+            if k >= lags:
+                lo, a_mean, a_var = k - lags, mean_rev, var_rev
+            else:
+                lo, a_mean, a_var = 0, mean_rev[lags - k :], var_rev[lags - k :]
+            b = float(dot(g2[lo:k], a_mean)) + 0.5 * float(dot(g1sq[lo:k], a_var))
+            a = 1.0 + float(dot(g1[lo:k], a_mean))
+            out1[k] = a
+            out1sq[k] = a * a
+            out2[k] = b
+        return g1, g1sq, g2
 
 
 @dataclass(frozen=True)
@@ -189,22 +269,32 @@ class GeometricDecay(DecayLaw):
         """(exponent a of a witnessing k**(-a) bound, description of the tail)."""
         return 2.0, "geometric decay dominates every polynomial"
 
-    def history_stepper(self, n: int):
-        """Step y_k by y_k = r y_{k-1} + c u_{k-1}: one state variable carries the whole history."""
+    def poisson_tilts(self, theta: float, f: np.ndarray) -> int:
+        """y_k = r y_{k-1} + c expm1(f_{k-1}): one state variable carries the whole history."""
         if self.c == 0.0:
-            return _no_offspring
+            return _constant_tilts(theta, f)
         c, r = self.c, self.r
+        out = memoryview(f)  # item stores from Python floats
+        expm1, isfinite = math.expm1, math.isfinite
         s = 0.0
+        f[0] = last = theta
+        for k in range(1, len(f)):
+            try:
+                s = r * s + c * expm1(last)
+            except OverflowError:
+                return k  # c * inf makes f_k infinite
+            last = theta + s
+            if not isfinite(last):
+                return k
+            out[k] = last
+        return len(f)
 
-        def step(k: int, last: float) -> float:
-            nonlocal s
-            s = r * s + c * last
-            return s
-
-        return step
+    def expansion_tables(self, variances: GeometricDecay, n: int) -> tuple:
+        """Three running sums, one per history."""
+        return _running_tables(self.c, self.r, variances.c, variances.r, n)
 
     def history_sums(self, u: np.ndarray) -> np.ndarray:
-        """The stepper's recurrence run inline over a known sequence: the same bits, no call per step."""
+        """The running sum y_k = r y_{k-1} + c u_{k-1}, one Python float step per entry."""
         y = np.zeros(len(u), dtype=np.float64)
         if self.c == 0.0:
             return y
@@ -294,6 +384,13 @@ class FiniteDecay(_DotDecay):
     def _lags(self, n: int) -> int:
         return min(n - 1, len(self.values))
 
+    def expansion_tables(self, variances: FiniteDecay, n: int) -> tuple:
+        """One lag by plain float products, which a length-1 dot gives exactly; more lags by dots."""
+        if len(self.values) != 1:
+            return super().expansion_tables(variances, n)
+        (mean,), (var,) = self.values, variances.values
+        return _running_tables(mean, 0.0, var, 0.0, n)
+
     def history_sums(self, u: np.ndarray) -> np.ndarray:
         """One direct convolution of u with the listed coefficients: O(n L) for L lags, exact zeros kept."""
         n = len(u)
@@ -381,8 +478,9 @@ class OffspringSequence(Spec, family="offspring"):
 
     ``mean_decay()`` gives E[xi_k] and ``var_decay()`` gives Var[xi_k] at
     each lag k, so their history sums serve the expansion tables and the
-    conditional means.  Each subclass steps the tilt recursion
-    (``tilt_stepper``) and draws paths (``sample_counts``) in its own way.
+    conditional means.  Each subclass runs the tilt recursion
+    (``tilts(theta, f)``, see the module docstring) and draws paths
+    (``sample_counts``) in its own way.
     """
 
     def mean_l1(self) -> float:
@@ -438,30 +536,41 @@ class ExplicitOffspring(OffspringSequence):
         """log P(one individual has no offspring at any lag)."""
         return math.fsum(math.log(law.pmf(0)) for law in self.laws)
 
-    def tilt_stepper(self, n: int):
-        """Step the sum over lags i = 1..min(k, len(laws)) of log E[exp(f_{k-i} xi_i)], in lag order.
+    def tilts(self, theta: float, f: np.ndarray) -> int:
+        """f_k = theta + the sum over lags i = 1..min(k - 1, len(laws)) of log E[exp(f_{k-i} xi_i)].
 
-        The last len(laws) tilts are kept as Python floats, most recent
-        first; the sum stops as soon as it reaches +inf.
+        The sum runs in lag order and stops as soon as it reaches +inf.
+        With several lags the last len(laws) tilts are kept as Python
+        floats, most recent first.  Returns the number of tilts written, as
+        ``DecayLaw.poisson_tilts`` does.
         """
         log_mgfs = [law.log_mgf for law in self.laws]
+        out = memoryview(f)  # item stores from Python floats
+        isfinite, inf = math.isfinite, math.inf
+        f[0] = last = theta
         if len(log_mgfs) == 1:
             # same bits as the loop below (its sum starts at 0.0); the loop's
-            # deque and zip cost an AR(1) about a third of its stepping time
-            only = log_mgfs[0]
-            return lambda k, last: only(last)
+            # deque and zip cost an AR(1) about a third of its time
+            (only,) = log_mgfs
+            for k in range(1, len(f)):
+                last = theta + only(last)
+                if not isfinite(last):
+                    return k
+                out[k] = last
+            return len(f)
         recent = collections.deque(maxlen=len(log_mgfs))
-
-        def step(k: int, last: float) -> float:
+        for k in range(1, len(f)):
             recent.appendleft(last)
             s = 0.0
             for log_mgf, x in zip(log_mgfs, recent):
                 s += log_mgf(x)
-                if s == math.inf:
+                if s == inf:
                     break
-            return s
-
-        return step
+            last = theta + s
+            if not isfinite(last):
+                return k
+            out[k] = last
+        return len(f)
 
     def sample_counts(self, immigration: CountDistribution, n: int, gen) -> np.ndarray:
         """Draw X_1..X_n one step at a time: the immigration, then each lag's offspring in lag order.
@@ -527,17 +636,9 @@ class PoissonOffspring(OffspringSequence):
     def log_no_offspring(self) -> float:
         return -self.decay.total()
 
-    def tilt_stepper(self, n: int):
-        """The decay law's history sum of expm1(f), which is sum_i log E[exp(f_{k-i} xi_i)]."""
-        history, expm1 = self.decay.history_stepper(n), math.expm1
-
-        def step(k: int, last: float) -> float:
-            try:
-                return history(k, expm1(last))
-            except OverflowError:
-                return history(k, math.inf)
-
-        return step
+    def tilts(self, theta: float, f: np.ndarray) -> int:
+        """The decay law's loop: sum_i alpha_i expm1(f_{k-i}) is sum_i log E[exp(f_{k-i} xi_i)]."""
+        return self.decay.poisson_tilts(theta, f)
 
     def sample_counts(self, immigration: CountDistribution, n: int, gen) -> np.ndarray:
         """Draw X_1..X_n one generation at a time (the cluster representation).
@@ -607,6 +708,7 @@ class InarModel(Spec, family="model"):
     immigration: CountDistribution
     offspring: OffspringSequence
     _fingerprint: str | None = field(default=None, init=False, compare=False, repr=False)
+    _assumptions: AssumptionReport | None = field(default=None, init=False, compare=False, repr=False)
     SPEC = (None, {"immigration": "immigration", "offspring": "offspring"})
 
     def __post_init__(self):
@@ -683,7 +785,17 @@ class AssumptionReport:
 
 
 def validate(m: InarModel) -> AssumptionReport:
-    """Check the standing assumptions, reporting (never raising) violations."""
+    """Check the standing assumptions, reporting (never raising) violations.
+
+    The report is computed once per model and shared by every later call:
+    the model is frozen, and no caller changes a report.
+    """
+    if m._assumptions is None:
+        object.__setattr__(m, "_assumptions", _check_assumptions(m))
+    return m._assumptions
+
+
+def _check_assumptions(m: InarModel) -> AssumptionReport:
     mean_l1 = m.offspring.mean_l1()
     var_l1 = m.offspring.var_l1()
 

@@ -9,12 +9,15 @@ Three deterministic computations drive the noise-free checks:
   with their uniform bounds and Cesaro limits;
 * the moderate-deviation scaled log-MGF curve along a horizon grid.
 
-Every sum over the history is exact: no lag is dropped.  Each offspring
-sequence steps the tilt recursion its own way, and the expansion tables
-run through the history sums of the lag means and lag variances
-(``model``).  A geometric kernel carries its whole history in one running
-sum, in O(1) work per step; power laws and lag lists take one dot product
-over the lags they have.
+Every sum over the history is exact: no lag is dropped.  Each recursion
+runs as one loop over the whole horizon, one loop per kernel kind, in
+``model``: the offspring sequence's ``tilts`` and the lag means'
+``expansion_tables``.  A geometric kernel carries each history sum in one
+running sum, in O(1) work per step; a lag list takes each lag's log-MGF
+in the tilt recursion, a one-lag list one product per table entry, and
+power laws and longer lists one dot product over the lags they have.
+This module adds what all kinds share: the immigration's exactly rounded
+sum of log-MGFs and the tables' bound checks.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "MdpCurvePoint",
     "tilt_recursion",
     "log_mgf_exact",
+    "log_mgf_by_horizon",
     "gbar_tables",
     "cesaro_check",
     "mdp_mgf_curve",
@@ -61,33 +65,29 @@ class MgfRecursion:
 
 
 def tilt_recursion(m: InarModel, theta: float, n: int) -> MgfRecursion:
-    """Run the tilt recursion for n steps.
+    """Run the tilt recursion for n steps, in the offspring sequence's loop.
 
-    The offspring sequence supplies the per-step sum: the decay law's
-    history sum of expm1(f) for a Poisson family, and each lag's log-MGF
-    for explicit laws.
+    Each step adds to theta the decay law's history sum of expm1(f) for a
+    Poisson family, and each lag's log-MGF for explicit laws.
     """
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
     theta = float(theta)
-    step = m.offspring.tilt_stepper(n)
     f = np.empty(n, dtype=np.float64)
-    f[0] = theta
-    out = memoryview(f)  # item access in Python floats
-    isfinite = math.isfinite
-    last = theta
-    for k in range(1, n):
-        last = theta + step(k, last)
-        if not isfinite(last):
-            return MgfRecursion(theta, f[:k].copy(), math.inf, k + 1)
-        out[k] = last
+    k = m.offspring.tilts(theta, f)
+    if k < n:
+        return MgfRecursion(theta, f[:k].copy(), math.inf, k + 1)
+    terms = map(m.immigration.log_mgf, memoryview(f))  # item access in Python floats
+    return MgfRecursion(theta, f, _total(terms, theta), None)
 
+
+def _total(terms, theta: float) -> float:
+    """The exactly rounded sum of the immigration log-MGFs; +inf as soon as one term is."""
     try:
-        total = math.fsum(map(m.immigration.log_mgf, out))  # +inf as soon as one term is
+        return math.fsum(terms)
     except OverflowError:
         # a partial sum passed the largest float; every term has the sign of the tilt
-        total = math.copysign(math.inf, theta)
-    return MgfRecursion(theta, f, total, None)
+        return math.copysign(math.inf, theta)
 
 
 def log_mgf_exact(m: InarModel, theta: float, n: int) -> float:
@@ -95,6 +95,23 @@ def log_mgf_exact(m: InarModel, theta: float, n: int) -> float:
     if theta == 0.0:
         return 0.0
     return tilt_recursion(m, theta, n).log_mgf_total
+
+
+def log_mgf_by_horizon(m: InarModel, theta: float, n: int) -> list:
+    """``log_mgf_exact(m, theta, k)`` for k = 1..n, bit for bit, from one tilt recursion.
+
+    The tilts f_1..f_k do not depend on the horizon past k, and ``fsum`` is
+    exactly rounded, so horizon k's log-MGF is the sum of the first k
+    immigration log-MGFs.  From the step where the tilts diverge on, it is
+    +inf.  The n sums take O(n**2) work: this serves the short horizons of
+    the exact oracle.
+    """
+    if theta == 0.0:
+        return [0.0] * n
+    rec = tilt_recursion(m, theta, n)
+    terms = [m.immigration.log_mgf(f) for f in rec.values.tolist()]
+    finite = [_total(terms[:k], theta) for k in range(1, len(terms) + 1)]
+    return finite + [math.inf] * (n - len(terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,28 +157,8 @@ def gbar_tables(m: InarModel, n: int) -> GbarTables:
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
     report = require_assumptions(m, labels=("a",))
-    means = m.offspring.mean_decay()
     # g1 and g2 each sum their own history through the lag means, g1^2 through the lag variances
-    g1_history = means.history_stepper(n)
-    g2_history = means.history_stepper(n)
-    g1_sq_history = m.offspring.var_decay().history_stepper(n)
-
-    g1 = np.empty(n, dtype=np.float64)
-    g1sq = np.empty(n, dtype=np.float64)
-    g2 = np.empty(n, dtype=np.float64)
-    g1[0] = 1.0
-    g1sq[0] = 1.0
-    g2[0] = 0.0
-    # item access in Python floats
-    g1_out, g1sq_out, g2_out = memoryview(g1), memoryview(g1sq), memoryview(g2)
-    a, a_sq, b = 1.0, 1.0, 0.0
-    for k in range(1, n):
-        b = g2_history(k, b) + 0.5 * g1_sq_history(k, a_sq)
-        a = 1.0 + g1_history(k, a)
-        a_sq = a * a
-        g1_out[k] = a
-        g1sq_out[k] = a_sq
-        g2_out[k] = b
+    g1, g1sq, g2 = m.offspring.mean_decay().expansion_tables(m.offspring.var_decay(), n)
 
     one_minus = 1.0 - report.mean_l1
     g1_limit = 1.0 / one_minus

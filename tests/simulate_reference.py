@@ -2,7 +2,8 @@
 
 Each step draws the immigration, then the offspring of the earlier counts.
 A Poisson family draws one Poisson total per step, with the decay law's
-history sum as its rate; a lag list draws each lag's ``sample_sum`` in lag
+history sum as its rate (``_history_stepper``, the package's old per-step
+sum); a lag list draws each lag's ``sample_sum`` in lag
 order.  The package's lag lists, on the loop or on the tape of
 uniforms, must match it bit for bit; its Poisson families must match it
 in law.
@@ -10,10 +11,42 @@ in law.
 
 import numpy as np
 
-from inarlim.model import InarModel, PoissonOffspring
+from inarlim.model import GeometricDecay, InarModel, PoissonOffspring
 from inarlim.simulate import RandomStream, Trajectory
 
 _I64_MAX = np.iinfo(np.int64).max
+
+
+def _history_stepper(decay, n: int):
+    """``step(k, u_{k-1})`` gives y_k = sum over i = 1..k of alpha_i u_{k-i}, called for k = 1, 2, ... in order.
+
+    A geometric decay carries y_k = r y_{k-1} + c u_{k-1}; another decay
+    law takes one contiguous dot of the kept values with its reversed
+    coefficients, over the lags it has.  A law without mass gives 0.
+    """
+    if isinstance(decay, GeometricDecay):
+        c, r = decay.c, decay.r
+        s = 0.0
+
+        def running(k: int, last: float) -> float:
+            nonlocal s
+            s = r * s + c * last
+            return s
+
+        return running if c else (lambda k, last: 0.0)
+    alpha_rev = np.ascontiguousarray(decay.coefficients(decay._lags(n))[::-1])
+    if not alpha_rev.any():
+        return lambda k, last: 0.0
+    lags = len(alpha_rev)
+    u = np.empty(n, dtype=np.float64)
+
+    def dot(k: int, last: float) -> float:
+        u[k - 1] = last
+        if k >= lags:
+            return float(np.dot(u[k - lags : k], alpha_rev))
+        return float(np.dot(u[:k], alpha_rev[lags - k :]))
+
+    return dot
 
 
 def simulate_reference(m: InarModel, n: int, stream: RandomStream) -> Trajectory:
@@ -23,7 +56,7 @@ def simulate_reference(m: InarModel, n: int, stream: RandomStream) -> Trajectory
     gen = stream.generator()
     poisson_family = isinstance(m.offspring, PoissonOffspring)
     if poisson_family:
-        rate_after = m.offspring.decay.history_stepper(n)
+        rate_after = _history_stepper(m.offspring.decay, n)
     else:
         laws = m.offspring.laws
 

@@ -1,33 +1,46 @@
 """Differential checks of the whole-history sums against the loops they replaced.
 
-Each decay law sums its history exactly: a geometric kernel in one running
-sum, a power law and a finite list in one dot product per step.  The sums
-are checked against a direct dot over the whole history, the expansion
-tables against the windowed loop of ``history_reference`` run over the
-whole history, and the martingale's conditional means against the per-lag
-loop.  Lag lists and power laws take the same dot products as the windowed
-loop, so their tables match it bitwise.  A running sum rounds differently
-from a dot, so geometric tables match it to GEOMETRIC_TABLE_RTOL.
+Each decay law sums its history exactly.  The history sums of a known
+sequence (a running sum, an FFT or a direct convolution) are checked
+against a direct dot over the whole history, the expansion tables against
+the windowed loop of ``history_reference`` run over the whole history, and
+the martingale's conditional means against the per-lag loop.  The tables
+of power laws and lag lists of several lags take the same dot products as
+the windowed loop, and a one-lag list the same products, so their tables
+match it bitwise.  A running sum rounds differently from a dot, so
+geometric tables match it to GEOMETRIC_TABLE_RTOL.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import zeta
 
 from inarlim import (
     FiniteDecay,
     GeometricDecay,
+    InarModel,
+    Poisson,
+    PoissonOffspring,
     PowerLawDecay,
     RandomStream,
     gbar_tables,
     martingale_diagnostic,
     simulate,
+    tilt_recursion,
 )
 from history_reference import conditional_means_reference, gbar_tables_reference
-from test_tilt_differential import explicit_models, geometric_models, windowed_models
+from test_tilt_differential import (
+    AR1,
+    HAWKES,
+    ONE_LAG_POISSON,
+    TWO_LAG,
+    explicit_models,
+    geometric_models,
+    windowed_models,
+)
 
 # relative to the sum of the absolute terms; a running sum with ratio r
 # gathers about 2 / (1 - r) ulps, 40 at r = 0.95
@@ -58,24 +71,28 @@ def test_history_sums_match_a_direct_dot_over_the_whole_history(decay, u):
     u = np.array(u)
     n = len(u)
     alpha = decay.coefficients(n)
-    step = decay.history_stepper(n)
-    stepped = np.array([0.0] + [step(k, u[k - 1]) for k in range(1, n)])
-    for k in range(1, n):
-        terms = alpha[:k] * u[:k][::-1]
-        assert abs(stepped[k] - terms.sum()) <= HISTORY_SUM_RTOL * np.abs(terms).sum()
     whole = decay.history_sums(u)
     assert whole[0] == 0.0
-    assert np.all(np.abs(whole - stepped) <= HISTORY_SUM_RTOL * (1.0 + np.abs(stepped)))
+    for k in range(1, n):
+        terms = alpha[:k] * u[:k][::-1]
+        assert abs(whole[k] - terms.sum()) <= HISTORY_SUM_RTOL * (1.0 + np.abs(terms).sum())
+
+
+def _poisson_family(decay):
+    return InarModel(Poisson(1.0), PoissonOffspring(decay))
 
 
 def test_infinite_value_at_a_lag_with_zero_mean_adds_nothing():
-    step = FiniteDecay((0.2, 0.0, 0.3)).history_stepper(5)
-    # y_k = 0.2 u_{k-1} + 0.3 u_{k-3}; u_1 = inf meets the zero coefficient at k = 3
-    assert [step(k, u) for k, u in enumerate((1.0, math.inf, 2.0, 3.0), start=1)] == [
-        0.2, math.inf, 0.2 * 2.0 + 0.3 * 1.0, math.inf,
-    ]
-    assert GeometricDecay(0.25, 0.5).history_stepper(3)(1, math.inf) == math.inf
-    assert GeometricDecay(0.0, 0.5).history_stepper(3)(1, math.inf) == 0.0
+    # expm1(710) overflows: its +inf meets the zero means of lags 1 and 2, then the mean of lag 3
+    rec = tilt_recursion(_poisson_family(FiniteDecay((0.0, 0.0, 0.3))), 710.0, 5)
+    assert rec.values.tolist() == [710.0] * 3
+    assert rec.diverged_at == 4
+    # a positive mean at lag 1 makes f_2 infinite
+    assert tilt_recursion(_poisson_family(FiniteDecay((0.2, 0.0, 0.3))), 710.0, 5).diverged_at == 2
+    assert tilt_recursion(_poisson_family(GeometricDecay(0.25, 0.5)), 710.0, 3).diverged_at == 2
+    rec = tilt_recursion(_poisson_family(GeometricDecay(0.0, 0.5)), 710.0, 3)
+    assert rec.values.tolist() == [710.0] * 3
+    assert rec.diverged_at is None
 
 
 def _same_tables(m, n):
@@ -88,18 +105,26 @@ def _same_tables(m, n):
 
 @settings(max_examples=40)
 @given(m=explicit_models(), n=st.integers(1, 2000))
+@example(m=AR1, n=2000)
+@example(m=AR1, n=1)
+@example(m=TWO_LAG, n=2)
 def test_lag_list_tables_match_the_windowed_loop_bitwise(m, n):
     _same_tables(m, n)
 
 
 @settings(max_examples=25)
 @given(m=windowed_models(), n=st.integers(1, 2000))
+@example(m=ONE_LAG_POISSON, n=2000)
+@example(m=_poisson_family(FiniteDecay((0.0, 0.5))), n=1)
+@example(m=_poisson_family(PowerLawDecay(0.3, 2.0)), n=2)
 def test_power_law_and_finite_tables_match_the_windowed_loop_bitwise(m, n):
     _same_tables(m, n)
 
 
 @settings(max_examples=40)
 @given(m=geometric_models(), n=st.integers(1, 3000))
+@example(m=HAWKES, n=1)
+@example(m=HAWKES, n=2)
 def test_geometric_tables_match_the_windowed_loop(m, n):
     tables = gbar_tables(m, n)
     g1, g1sq, g2 = gbar_tables_reference(m, n)
@@ -125,5 +150,9 @@ def test_martingale_matches_the_per_lag_reference(m, n, seed):
 )
 def test_history_sums_without_mass_are_zero(decay):
     assert decay.history_sums(np.arange(5.0)).tolist() == [0.0] * 5
-    step = decay.history_stepper(5)
-    assert [step(k, 1.0) for k in range(1, 5)] == [0.0] * 4
+    # every history sum of the recursions is 0 too: the tilts stay at theta, the tables at 1 and 0
+    m = _poisson_family(decay)
+    assert tilt_recursion(m, 1.0, 5).values.tolist() == [1.0] * 5
+    tables = gbar_tables(m, 5)
+    assert tables.g1.tolist() == [1.0] * 5
+    assert tables.g2.tolist() == [0.0] * 5

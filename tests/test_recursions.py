@@ -21,6 +21,7 @@ from inarlim import (
     critical_tilt,
     gbar_tables,
     limit_cgf,
+    log_mgf_by_horizon,
     log_mgf_exact,
     mdp_mgf_curve,
     mdp_scaled_limit,
@@ -71,6 +72,15 @@ def test_divergent_tilt_reported_as_infinity():
     assert rec.log_mgf_total == math.inf
     assert len(rec.values) < 4
     assert rec.diverged_at == len(rec.values) + 1
+
+
+@pytest.mark.parametrize("fixture", ["bernoulli_ar1", "two_lag", "hawkes", "pure_immigration"])
+def test_log_mgf_by_horizon_is_log_mgf_exact_at_every_horizon(fixture, request):
+    m = request.getfixturevalue(fixture)
+    # 2.0 and 5.0 lie past every critical tilt; the Hawkes tilts diverge at steps 5 and 4
+    for theta in THETAS + (-0.0, 2.0, 5.0):
+        got = log_mgf_by_horizon(m, theta, 12)
+        assert [v.hex() for v in got] == [log_mgf_exact(m, theta, k).hex() for k in range(1, 13)]
 
 
 def test_two_lag_divergence_is_quiet(two_lag):

@@ -29,6 +29,7 @@ MODULES = ["inarlim"] + [
         ("hawkes_demo.py", ["--n", "200", "--reps", "5"]),
         ("mdp_curve_sweep.py", ["--horizons", "1000,10000"]),
         ("simulate_timing.py", ["--horizons", "5,20", "--repeats", "1"]),
+        ("recursion_timing.py", ["--horizons", "5,20", "--repeats", "1"]),
     ],
 )
 def test_example_script_runs(script, args):

@@ -1,10 +1,9 @@
 """Differential checks of the tilt recursion against the quadratic reference loop.
 
-``tilt_recursion`` takes each step's offspring sum from the offspring
-sequence: one running sum for a geometric Poisson kernel, a dot product over
-the whole history for other decay laws, and each lag's log-MGF for explicit
-laws.  ``tilt_reference`` keeps the loop these replaced, run over the whole
-history.  Explicit laws and non-geometric Poisson families must match it
+``tilt_recursion`` runs the offspring sequence's loop: one running sum for
+a geometric Poisson kernel, a dot product over the whole history for other
+decay laws, and each lag's log-MGF for explicit laws.  ``tilt_reference``
+keeps the loop these replaced, run over the whole history.  Explicit laws and non-geometric Poisson families must match it
 bitwise; the geometric running sum rounds differently, so it must match to
 1e-11.  On the Hawkes fixture it also agrees to 1e-11 with the reference
 cut at 39 lags, where the package once cut that history.
@@ -14,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import zeta
 
 from inarlim import (
@@ -95,6 +94,14 @@ def geometric_models(draw):
     return InarModel(draw(immigration), PoissonOffspring(GeometricDecay(c=mass * (1.0 - r), r=r)))
 
 
+AR1 = InarModel(Bernoulli(0.5), ExplicitOffspring((Bernoulli(0.4),)))
+TWO_LAG = InarModel(Bernoulli(0.5), ExplicitOffspring((Bernoulli(0.35), Bernoulli(0.25))))
+HAWKES = InarModel(Poisson(1.0), PoissonOffspring(GeometricDecay(c=0.25, r=0.5)))
+ONE_LAG_POISSON = InarModel(Poisson(1.0), PoissonOffspring(FiniteDecay((0.6,))))
+# expm1(710) overflows at the zero-mean lag 1, so f_2 = 710 and the tilts diverge at step 3
+ZERO_FIRST_LAG = InarModel(Poisson(1.0), PoissonOffspring(FiniteDecay((0.0, 0.5))))
+ZERO_FIRST_LAG_FRAC = 710.0 / critical_tilt(ZERO_FIRST_LAG)[0]
+
 # fractions of the critical tilt: below it the values converge, above it they blow up
 tilt_fractions = st.one_of(st.floats(-3.0, 0.9), st.floats(1.1, 3.0))
 horizons = st.one_of(st.integers(1, 3000), st.integers(3000, 30_000))
@@ -110,18 +117,28 @@ def _same_as_reference(m, theta, n):
 
 @settings(max_examples=40)
 @given(m=explicit_models(), frac=tilt_fractions, n=horizons)
+@example(m=AR1, frac=0.5, n=2000)
+@example(m=AR1, frac=0.5, n=1)
+@example(m=TWO_LAG, frac=2.0, n=2)
 def test_explicit_laws_match_the_reference_bitwise(m, frac, n):
     _same_as_reference(m, frac * critical_tilt(m)[0], n)
 
 
 @settings(max_examples=25)
 @given(m=windowed_models(), frac=tilt_fractions, n=horizons)
+@example(m=ONE_LAG_POISSON, frac=0.5, n=2000)
+@example(m=ZERO_FIRST_LAG, frac=ZERO_FIRST_LAG_FRAC, n=5)
+@example(m=ZERO_FIRST_LAG, frac=0.5, n=1)
+@example(m=ONE_LAG_POISSON, frac=2.0, n=2)
 def test_windowed_poisson_families_match_the_reference_bitwise(m, frac, n):
     _same_as_reference(m, frac * critical_tilt(m)[0], n)
 
 
 @settings(max_examples=40)
 @given(m=geometric_models(), frac=tilt_fractions, n=horizons)
+@example(m=HAWKES, frac=2.0, n=2000)
+@example(m=HAWKES, frac=0.5, n=1)
+@example(m=HAWKES, frac=2.0, n=2)
 def test_geometric_kernels_match_the_reference(m, frac, n):
     theta = frac * critical_tilt(m)[0]
     rec = tilt_recursion(m, theta, n)

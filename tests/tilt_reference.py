@@ -1,11 +1,11 @@
-"""Reference tilt recursion: the quadratic loop the package used before its per-kind steppers.
+"""Reference tilt recursion: the quadratic loop the package used before its loops per kernel kind.
 
 Every step sums the offspring log-MGF over the window directly: a dot
 product of the decay coefficients with expm1 of the earlier tilts for a
 Poisson family, and each lag's log-MGF in lag order 1..w for explicit
 laws, reading the tilts back from the array.  ``window`` defaults to the
-whole history (``whole_history``), the exact sum that the package's
-steppers carry; a shorter window cuts the history as the package once did.
+whole history (``whole_history``), the exact sum that the package's loops
+carry; a shorter window cuts the history as the package once did.
 """
 
 import math
