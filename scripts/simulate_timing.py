@@ -2,9 +2,11 @@
 """Best-of-k wall time of one ``simulate`` path, per kernel and horizon.
 
 The kernels are the five fixtures of the benchmark's Monte Carlo battery;
-a lag list with a Binomial(2, 0.2) lag and Bernoulli(0.5) immigration,
-which stays on the per-step loop (a Binomial variate is not one uniform,
-so the tape of the other lag lists does not apply); two near-critical
+four lag lists whose laws read the tape by a table or a closed form
+rather than as Bernoulli or finite-support laws: a Binomial(2, 0.2) lag
+with Bernoulli(0.5) immigration, pure Poisson(1) immigration without
+lags, Poisson(0.3) and Poisson(0.2) lags with Poisson(1) immigration, and
+a Geometric(0.6) lag with Bernoulli(0.5) immigration; two near-critical
 geometric Hawkes kernels (mean_l1 = 0.9 and 0.95, ratio 0.5, Poisson(1)
 immigration); and a power law of mean_l1 = 0.9 (a = 2) with Poisson(10)
 immigration, whose first generations are drawn by child time.  Each time
@@ -23,6 +25,7 @@ from inarlim import (
     Binomial,
     ExplicitOffspring,
     FiniteSupport,
+    Geometric,
     GeometricDecay,
     InarModel,
     Poisson,
@@ -47,6 +50,9 @@ def kernels() -> dict:
         ),
         "power_law": InarModel(Poisson(1.0), PoissonOffspring(PowerLawDecay(c=0.3, a=2.0))),
         "binomial_lag": InarModel(Bernoulli(0.5), ExplicitOffspring((Binomial(2, 0.2),))),
+        "poisson_imm": InarModel(Poisson(1.0), ExplicitOffspring(())),
+        "two_poisson_lags": InarModel(Poisson(1.0), ExplicitOffspring((Poisson(0.3), Poisson(0.2)))),
+        "geometric_lag": InarModel(Bernoulli(0.5), ExplicitOffspring((Geometric(0.6),))),
         **hawkes,
         # c * zeta(2) = 0.9
         "power_law_0.9_imm10": InarModel(

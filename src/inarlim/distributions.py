@@ -9,6 +9,7 @@ without exception control flow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -75,23 +76,26 @@ class CountDistribution(Spec, family="distribution"):
     """Base class: shared sampling, plus defaults for the support and log-MGF domain.
 
     ``sample`` draws from the distribution, mutating only the generator
-    argument; everything else is pure.  ``sample_sum`` draws the sum of
-    ``count`` independent copies, by default as ``count`` individual
-    variates (exact, O(count) work).
-
-    A law whose every variate is one ``rng.random()`` uniform put through a
-    fixed map defines ``from_uniforms(u)``, that map on an array of
-    uniforms, and samples through it, so a block of uniforms drawn in one
-    call gives the variates that one call per variate would; for every
-    other law ``from_uniforms`` is None.
+    argument; everything else is pure.  ``from_uniforms(u)`` maps each
+    uniform on [0, 1) to one variate by inverse CDF (Devroye 1986, ch. II),
+    by default on a CDF table over a bounded support (``_cdf``, built on
+    first use); ``sample`` reads uniforms through it unless a law samples
+    by numpy.  ``sample_sum(rng, count)`` draws the sum of ``count`` copies
+    from the sum's own law, raising OverflowError past the 64-bit range.
     """
 
-    from_uniforms = None
+    @functools.cached_property
+    def _cdf(self) -> np.ndarray:
+        return np.cumsum([self.pmf(k) for k in range(self.support_max() + 1)])
 
-    def sample_sum(self, rng: np.random.Generator, count: int) -> int:
-        if count == 0:
-            return 0
-        return int(self.sample(rng, size=count).sum())
+    def from_uniforms(self, u):
+        # the clip keeps a uniform above a cumsum rounded below 1 on the support
+        return np.minimum(np.searchsorted(self._cdf, u, side="right"), len(self._cdf) - 1)
+
+    def sample(self, rng, size=None):
+        if size is None:
+            return int(self.from_uniforms(rng.random()))
+        return self.from_uniforms(rng.random(size)).astype(np.int64)
 
     def support_min(self) -> int:
         """Smallest attainable value."""
@@ -146,8 +150,14 @@ class Constant(CountDistribution):
             return self.value
         return np.full(size, self.value, dtype=np.int64)
 
+    def from_uniforms(self, u):
+        return np.full(np.shape(u), self.value, dtype=np.int64)
+
     def sample_sum(self, rng, count: int) -> int:
-        return self.value * count
+        total = self.value * count
+        if total > I64_MAX:
+            raise OverflowError(f"sum {total} exceeds the 64-bit integer range")
+        return total
 
 
 @dataclass(frozen=True)
@@ -213,6 +223,10 @@ class Binomial(CountDistribution):
             return int(rng.binomial(self.m, self.p))
         return rng.binomial(self.m, self.p, size=size).astype(np.int64)
 
+    def sample_sum(self, rng, count: int) -> int:
+        # Binomial(count * m, p); numpy raises OverflowError for trials past the 64-bit range
+        return int(rng.binomial(count * self.m, self.p))
+
 
 @dataclass(frozen=True)
 class Bernoulli(Binomial):
@@ -229,12 +243,10 @@ class Bernoulli(Binomial):
         return 0.0
 
     def from_uniforms(self, u):
+        # 1 for u < p: the inverse CDF read from the top, as Bernoulli draws always were
         return u < self.p
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return int(self.from_uniforms(rng.random()))
-        return self.from_uniforms(rng.random(size)).astype(np.int64)
+    sample = CountDistribution.sample  # one uniform a variate, not Binomial's numpy sampler
 
 
 @dataclass(frozen=True)
@@ -274,15 +286,28 @@ class Poisson(CountDistribution):
     def support_max(self) -> int | None:
         return 0 if self.lam == 0.0 else None
 
+    @functools.cached_property
+    def _cdf(self) -> np.ndarray:
+        """The CDF at 0, 1, ... out to where, past the mode, a term no longer moves it.
+
+        The mass beyond is about the CDF's rounding near 1 (19 entries at lam = 1, 1,268 at 1000).
+        """
+        cdf, total, k = [], 0.0, 0
+        while True:
+            term = self.pmf(k)
+            if k > self.lam and total + term == total:
+                return np.array(cdf)
+            total += term
+            cdf.append(total)
+            k += 1
+
     def sample(self, rng, size=None):
         if size is None:
             return int(rng.poisson(self.lam))
         return rng.poisson(self.lam, size=size).astype(np.int64)
 
     def sample_sum(self, rng, count: int) -> int:
-        # Sum of count i.i.d. Poisson(lam) is Poisson(count * lam), exactly.
-        if count == 0:
-            return 0
+        # count i.i.d. Poisson(lam) sum to Poisson(count * lam), exactly; Poisson(0) draws nothing
         mean = self.lam * count
         if mean > POISSON_MEAN_MAX:
             raise OverflowError(f"Poisson mean {mean:.6g} exceeds the 64-bit integer range")
@@ -345,13 +370,24 @@ class Geometric(CountDistribution):
             return int(rng.geometric(self.p)) - 1
         return (rng.geometric(self.p, size=size) - 1).astype(np.int64)
 
+    def from_uniforms(self, u):
+        # closed-form inverse CDF: P(floor(log1p(-u) / log1p(-p)) >= k) = (1 - p)^k, with
+        # log1p(-p) = -log_mgf_domain_sup(), -inf at p = 1, where every variate is 0
+        return np.floor(np.log1p(-u) / -self.log_mgf_domain_sup()).astype(np.int64)
+
+    def sample_sum(self, rng, count: int) -> int:
+        # negative binomial: the failures before the count-th success
+        try:
+            return int(rng.negative_binomial(count, self.p)) if count else 0
+        except ValueError as exc:  # numpy's range check on the count and the mean
+            raise OverflowError(f"negative binomial sum of {count} exceeds the 64-bit range") from exc
+
 
 @dataclass(frozen=True)
 class FiniteSupport(CountDistribution):
     """Arbitrary law on {0, ..., m} given by its probability vector."""
 
     probs: tuple
-    _cum: np.ndarray = field(init=False, compare=False, repr=False)
     SPEC = ("finite_support", {"probs": "probs"})
 
     def __post_init__(self):
@@ -363,8 +399,6 @@ class FiniteSupport(CountDistribution):
         if abs(math.fsum(probs) - 1.0) > PROB_SUM_TOL:
             raise ConfigError(f"finite-support probabilities must sum to 1, got {math.fsum(probs)}")
         object.__setattr__(self, "probs", probs)
-        # the inverse-CDF table of ``sample``, built once
-        object.__setattr__(self, "_cum", np.cumsum(probs))
 
     def _values(self) -> np.ndarray:
         return np.arange(len(self.probs), dtype=np.float64)
@@ -407,14 +441,12 @@ class FiniteSupport(CountDistribution):
         nonzero = [k for k, q in enumerate(self.probs) if q > 0.0]
         return nonzero[-1]
 
-    def from_uniforms(self, u):
-        # inverse CDF; the clip keeps a uniform above a cumsum rounded below 1 on the support
-        return np.minimum(np.searchsorted(self._cum, u, side="right"), len(self.probs) - 1)
-
-    def sample(self, rng, size=None):
-        if size is None:
-            return int(self.from_uniforms(rng.random()))
-        return self.from_uniforms(rng.random(size)).astype(np.int64)
+    def sample_sum(self, rng, count: int) -> int:
+        # sum_k k N_k, the tally N multinomial; numpy raises OverflowError for a count past 2**63
+        total = sum(k * int(c) for k, c in enumerate(rng.multinomial(count, self.probs)))
+        if total > I64_MAX:
+            raise OverflowError(f"sum {total} exceeds the 64-bit integer range")
+        return total
 
 
 def dist_from_spec(obj) -> CountDistribution:

@@ -21,10 +21,9 @@ product over the lags they have.  ``history_sums(u)`` gives the history
 sums of a sequence known in advance.  Each offspring sequence also draws a
 path itself: ``sample_counts(immigration, n, gen)`` returns X_1..X_n, a lag
 list step by step and a Poisson family generation by generation.  A lag
-list whose immigration and laws each read one uniform per variate
-(``from_uniforms``) reads them from a tape of uniforms drawn in blocks:
-the same uniforms in the same order as its per-step loop, so the same
-counts.
+list reads one uniform per variate (``from_uniforms``, an inverse CDF)
+from a tape drawn in blocks, or in a step past ``_TAPE_STEP_MAX``
+uniforms draws each lag's sum from the sum's own law (``sample_sum``).
 """
 
 from __future__ import annotations
@@ -415,21 +414,24 @@ _PER_CHILD_LIMIT = 4
 # A lag-list tape draws blocks of 2n + 64 uniforms, at most this many, so a short path
 # builds no tables it will not read and a long one keeps no tables of millions of ints.
 _TAPE_BLOCK_MAX = 4096
+# Past this many uniforms a lag-list step draws sum laws, so its memory is bounded at any count.
+_TAPE_STEP_MAX = 2**20
 
 
-def _counts_from_tape(imm_map, lag_maps, n: int, gen) -> np.ndarray:
-    """X_1..X_n of a lag list whose laws each read one uniform per variate, from a tape of uniforms.
+def _counts_from_tape(immigration: CountDistribution, laws: tuple, n: int, gen) -> np.ndarray:
+    """X_1..X_n of a lag list, from a tape of uniforms, one per variate (``from_uniforms``).
 
-    Step t reads the uniforms the per-step loop reads, in its order: one for
-    the immigration, then x[t - i] for lag i.  Each block of uniforms
-    becomes Python tables: the immigration's draw at each position, and the
-    prefix sums of each lag law's draws, so a lag's offspring sum is one
-    difference.  The uniforms a step leaves unread are carried into the
-    next block; a step that needs more than a block reads its own
-    uniforms, summed by numpy.
+    Step t reads one uniform for the immigration, then x[t - i] for lag i.
+    Each block of uniforms becomes Python tables, the immigration's draws
+    and the prefix sums of each lag law's draws, so a lag's offspring sum
+    is one difference; unread uniforms carry over.  A step needing more
+    than a block reads its own uniforms, summed by numpy, and one past
+    ``_TAPE_STEP_MAX`` draws each lag's sum by ``sample_sum``.
     """
-    lags = len(lag_maps)
-    block = min(2 * n + 64, _TAPE_BLOCK_MAX)
+    lags = len(laws)
+    block, step_max = min(2 * n + 64, _TAPE_BLOCK_MAX), _TAPE_STEP_MAX
+    if any(max(law.from_uniforms(0.0), law.from_uniforms(1.0 - 2**-53)) > I64_MAX >> 20 for law in laws):
+        block = step_max = 0  # an int64 sum of 2**20 of its top variates could wrap: draw sum laws
     tape = np.empty(0)
     pos = end = 0
     x = []
@@ -438,21 +440,27 @@ def _counts_from_tape(imm_map, lag_maps, n: int, gen) -> np.ndarray:
         need = 1 + sum(recent)
         if pos + need > end:
             if need > block:
-                u = np.concatenate((tape[pos:], gen.random(need - (end - pos))))
-                total, at = int(imm_map(u[0])), 1
-                for lag_map, c in zip(lag_maps, recent):
-                    total += int(lag_map(u[at : at + c]).sum())
-                    at += c
+                if need > step_max:
+                    total = int(immigration.from_uniforms(gen.random()))
+                    total += sum(law.sample_sum(gen, c) for law, c in zip(laws, recent))
+                else:
+                    u = np.concatenate((tape[pos:], gen.random(need - (end - pos))))
+                    total, at = int(immigration.from_uniforms(u[0])), 1
+                    for law, c in zip(laws, recent):
+                        total += int(law.from_uniforms(u[at : at + c]).sum())
+                        at += c
+                if total > I64_MAX:
+                    raise OverflowError(f"count at step {len(x) + 1} exceeds the 64-bit integer maximum")
                 x.append(total)
-                pos = end  # the block is read up
+                pos = end  # the block is read up, or dropped
                 continue
             tape = np.concatenate((tape[pos:], gen.random(block)))
             pos, end = 0, len(tape)
-            imm = imm_map(tape).tolist()
+            imm = immigration.from_uniforms(tape).tolist()
             sums = []
-            for lag_map in lag_maps:
+            for law in laws:
                 prefix = np.zeros(end + 1, dtype=np.int64)
-                np.cumsum(lag_map(tape), out=prefix[1:])
+                np.cumsum(law.from_uniforms(tape), out=prefix[1:])
                 sums.append(prefix.tolist())
         total = imm[pos]
         pos += 1
@@ -573,33 +581,8 @@ class ExplicitOffspring(OffspringSequence):
         return len(f)
 
     def sample_counts(self, immigration: CountDistribution, n: int, gen) -> np.ndarray:
-        """Draw X_1..X_n one step at a time: the immigration, then each lag's offspring in lag order.
-
-        Lag i adds ``sample_sum`` over the count i steps back, when that
-        count is positive.  Counts are kept as Python ints, so a count past
-        the 64-bit maximum raises OverflowError before it is stored.  When
-        the immigration and every lag law read one uniform per variate
-        (``from_uniforms``), the uniforms come from a tape drawn in blocks
-        instead (``_counts_from_tape``): the counts are the loop's bit for
-        bit, but the generator's state on return differs, and is not part
-        of the contract.
-        """
-        maps = [immigration.from_uniforms] + [law.from_uniforms for law in self.laws]
-        if None not in maps:
-            return _counts_from_tape(maps[0], maps[1:], n, gen)
-        draw = immigration.sample
-        sample_sums = [law.sample_sum for law in self.laws]
-        x = []
-        for t in range(n):
-            total = draw(gen)
-            # reversed(x) runs back from the last count: lag 1, lag 2, ...
-            for sample_sum, cnt in zip(sample_sums, reversed(x)):
-                if cnt:
-                    total += sample_sum(gen, cnt)
-            if total > I64_MAX:
-                raise OverflowError(f"count at step {t + 1} exceeds the 64-bit integer maximum")
-            x.append(total)
-        return np.array(x, dtype=np.int64)
+        """Draw X_1..X_n one step at a time, from a tape of uniforms (``_counts_from_tape``)."""
+        return _counts_from_tape(immigration, self.laws, n, gen)
 
 
 @dataclass(frozen=True)

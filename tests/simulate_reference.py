@@ -3,18 +3,28 @@
 Each step draws the immigration, then the offspring of the earlier counts.
 A Poisson family draws one Poisson total per step, with the decay law's
 history sum as its rate (``_history_stepper``, the package's old per-step
-sum); a lag list draws each lag's ``sample_sum`` in lag
-order.  The package's lag lists, on the loop or on the tape of
-uniforms, must match it bit for bit; its Poisson families must match it
-in law.
+sum); a lag list draws each lag's offspring sum in lag order, by the
+package's old sum draw (``_old_sample_sum``).  The package's Bernoulli and
+finite-support lag lists, on the tape of uniforms, must match it bit for
+bit; its other lag lists and its Poisson families must match it in law.
 """
 
 import numpy as np
 
+from inarlim.distributions import Constant, Poisson
 from inarlim.model import GeometricDecay, InarModel, PoissonOffspring
 from inarlim.simulate import RandomStream, Trajectory
 
 _I64_MAX = np.iinfo(np.int64).max
+
+
+def _old_sample_sum(law, gen, count: int) -> int:
+    """The sum of count variates: Poisson(count * lam), count * value, or count ``sample`` draws summed."""
+    if isinstance(law, Poisson):
+        return int(gen.poisson(law.lam * count))
+    if isinstance(law, Constant):
+        return law.value * count
+    return int(law.sample(gen, size=count).sum())
 
 
 def _history_stepper(decay, n: int):
@@ -74,7 +84,7 @@ def simulate_reference(m: InarModel, n: int, stream: RandomStream) -> Trajectory
             for lag in range(1, min(t, len(laws)) + 1):
                 cnt = int(x[t - lag])
                 if cnt:
-                    total += laws[lag - 1].sample_sum(gen, cnt)
+                    total += _old_sample_sum(laws[lag - 1], gen, cnt)
         if total > _I64_MAX:
             raise OverflowError(f"count at step {t + 1} exceeds the 64-bit integer maximum")
         x[t] = total

@@ -233,13 +233,54 @@ def test_sample_sum_matches_law():
     assert abs(shortcut.var() - direct.var()) < 0.2
 
 
-@pytest.mark.parametrize("d", [d for d in ALL_DISTS if not isinstance(d, Poisson)], ids=repr)
-def test_sample_sum_draws_the_sum_of_sample_bitwise(d):
-    # every law but Poisson sums count individual draws: the same numbers, in the same order
-    for count in (1, 2, 7, 300):
-        a, b = RandomStream(seed=6).generator(), RandomStream(seed=6).generator()
-        assert d.sample_sum(a, count) == int(d.sample(b, size=count).sum())
-        assert a.bit_generator.state == b.bit_generator.state
+@pytest.mark.parametrize("d", ALL_DISTS, ids=repr)
+def test_sample_sum_draws_the_law_of_the_sum(d):
+    # count 1000: the mean and variance of 4000 sums against count times the law's, within 4 sigma
+    count, reps = 1000, 4000
+    rng = RandomStream(seed=6).generator()
+    assert isinstance(d.sample_sum(rng, count), int)
+    sums = np.array([d.sample_sum(rng, count) for _ in range(reps)], dtype=np.float64)
+    mean, var = count * d.mean(), count * d.variance()
+    if var == 0.0:
+        assert (sums == mean).all()
+        return
+    assert abs(sums.mean() - mean) <= 4.0 * math.sqrt(var / reps)
+    # standard error of the sample variance, from the sample's fourth central moment
+    centred = (sums - sums.mean()) ** 2
+    assert abs(centred.mean() * reps / (reps - 1) - var) <= 4.0 * centred.std() / math.sqrt(reps)
+
+
+@pytest.mark.parametrize("d", [d for d in ALL_DISTS if d.mean() > 0.0], ids=repr)
+def test_sample_sum_past_the_64_bit_range_raises_overflow(d):
+    rng = RandomStream(seed=1).generator()
+    with pytest.raises(OverflowError):
+        d.sample_sum(rng, 2**63)
+
+
+# 0, 999 evenly spaced points inside (0, 1), and the largest double below 1
+UNIFORM_GRID = np.concatenate(([0.0], np.linspace(0.0, 1.0, 1001)[1:-1], [np.nextafter(1.0, 0.0)]))
+
+
+@pytest.mark.parametrize("d", ALL_DISTS + [Binomial(40, 0.7), Poisson(30.0), Geometric(0.05)], ids=repr)
+def test_from_uniforms_inverts_the_cdf(d):
+    # the variate k of u has CDF(k - 1) <= u < CDF(k), up to the rounding of the float CDF;
+    # a Bernoulli variate is 1 for u < p, its CDF read from the top, so there 1 - u takes u's place
+    ks = np.asarray(d.from_uniforms(UNIFORM_GRID), dtype=np.int64).tolist()
+    for u, k in zip(UNIFORM_GRID.tolist(), ks):
+        u = 1.0 - u if isinstance(d, Bernoulli) else u
+        below = math.fsum(d.pmf(j) for j in range(k))
+        assert below - 1e-12 <= u < below + d.pmf(k) + 1e-12
+        assert d.pmf(k) > 0.0
+    # one uniform gives the variate its array entry gives
+    assert int(d.from_uniforms(0.3)) == ks[300]
+
+
+POINT_MASSES_AT_ZERO = [Geometric(1.0), Poisson(0.0), Constant(0), Bernoulli(0.0), Binomial(3, 0.0)]
+
+
+@pytest.mark.parametrize("d", POINT_MASSES_AT_ZERO, ids=repr)
+def test_point_masses_at_zero_map_every_uniform_to_zero(d):
+    assert (np.asarray(d.from_uniforms(UNIFORM_GRID)) == 0).all()
 
 
 def test_finite_support_draws_by_its_cumulative_probabilities():

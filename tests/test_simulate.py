@@ -11,6 +11,7 @@ from inarlim import (
     ExplicitOffspring,
     FingerprintMismatch,
     FiniteDecay,
+    Geometric,
     GeometricDecay,
     InarModel,
     Poisson,
@@ -40,7 +41,8 @@ def test_staircase_counts():
 def test_empty_lag_list_gives_iid_immigration(pure_immigration):
     traj = simulate(pure_immigration, 50, RandomStream(seed=1))
     gen = RandomStream(seed=1).generator()
-    assert traj.counts.tolist() == [Poisson(1.0).sample(gen) for _ in range(50)]
+    # every lag list reads its immigration from the tape, one uniform per step
+    assert traj.counts.tolist() == Poisson(1.0).from_uniforms(gen.random(50)).tolist()
     diag = martingale_diagnostic(traj, pure_immigration)
     assert diag.m_path.tolist() == np.cumsum(traj.counts - 1.0).tolist()
     assert simulate_batch(pure_immigration, 50, 1, RandomStream(seed=1))[0].s_n == traj.counts.sum()
@@ -109,10 +111,18 @@ def test_lln_trend(bernoulli_ar1):
     assert abs(mean - 5 / 6) <= band
 
 
+# mean_l1 = 1.8: past 2**20 uniforms a step, the lag sums are drawn from their own laws
+EXPLODING_BERNOULLI_LIST = InarModel(Bernoulli(0.5), ExplicitOffspring((Bernoulli(0.9), Bernoulli(0.9))))
+
+
 def test_overflow_raises():
-    # a lag list, and three supercritical Poisson families whose means pass numpy's Poisson range
+    # four supercritical lag lists, and three supercritical Poisson families whose means pass
+    # numpy's Poisson range
     cases = [
         (InarModel(Constant(1), ExplicitOffspring((Constant(20),))), 20),
+        (EXPLODING_BERNOULLI_LIST, 200),
+        (InarModel(Poisson(1.0), ExplicitOffspring((Poisson(1.0), Poisson(1.0)))), 200),
+        (InarModel(Poisson(1.0), ExplicitOffspring((Geometric(0.3),))), 200),
         (InarModel(Poisson(1.0), PoissonOffspring(GeometricDecay(0.6, 0.5))), 1000),
         (InarModel(Poisson(1.0), PoissonOffspring(FiniteDecay((3.0,)))), 60),
         (InarModel(Poisson(1.0), PoissonOffspring(PowerLawDecay(0.9, 2.0))), 2000),
@@ -120,6 +130,13 @@ def test_overflow_raises():
     for m, n in cases:
         with pytest.raises(OverflowError):
             simulate(m, n, RandomStream(seed=0))
+
+
+def test_lag_laws_with_giant_variates_draw_exact_sums():
+    # 2**59 offspring at lag 17: int64 prefix sums of such variates on the tape would wrap, so
+    # these steps draw sum laws, exact in Python ints
+    m = InarModel(Constant(1), ExplicitOffspring((Constant(0),) * 16 + (Constant(2**59),)))
+    assert simulate(m, 18, RandomStream(seed=0)).counts.tolist() == [1] * 17 + [1 + 2**59]
 
 
 def test_exploding_path_keeps_memory_bounded():
@@ -132,6 +149,15 @@ def test_exploding_path_keeps_memory_bounded():
     finally:
         tracemalloc.stop()
     assert counts[-1] > 10**9
+    assert peak < 32 * 2**20
+    # a lag list reads at most 2**20 uniforms a step, so it reaches the typed overflow
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError):
+            simulate(EXPLODING_BERNOULLI_LIST, 200, RandomStream(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 32 * 2**20
 
 

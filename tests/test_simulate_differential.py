@@ -1,12 +1,13 @@
 """Differential checks of ``simulate`` against the per-step reference loop.
 
 ``simulate_reference`` keeps the loop the package used before Poisson
-families were drawn by generations.  Lag lists still draw the same
-numbers in the package, on the same loop or from a tape of uniforms, so
-they must match it bit for bit, stream by stream.  Poisson
-families draw other numbers from the same law, so they must match it in
-law: by a two-sample KS test on S_n, and by the exact mean and variance of
-S_n and the exact mean of X_n from the expansion tables,
+families were drawn by generations and every lag list was drawn from a
+tape of uniforms.  Lag lists of Bernoulli and finite-support laws still
+draw the same numbers in the package, from the tape, so they must match
+it bit for bit, stream by stream.  Other lag lists and Poisson families
+draw other numbers from the same law, so they must match it in law: by a
+two-sample KS test on S_n, and by the exact mean and variance of S_n and
+the exact mean of X_n from the expansion tables,
 
     E S_n = E[eps] sum_k g1(k),   Var S_n = Var[eps] sum_k g1(k)^2 + 2 E[eps] sum_k g2(k),
     E X_n = E[eps] g1(n).
@@ -62,23 +63,36 @@ def _lag_law(kind: int, mean: float, split: float, trials: int):
     return Constant(0)
 
 
-@st.composite
-def count_laws(draw, mean: float):
-    return _lag_law(draw(st.integers(0, 5)), mean, draw(st.floats(0.0, 1.0)), draw(st.integers(1, 3)))
+# the kinds whose variates read the uniforms the reference loop reads: Bernoulli and three-point
+TAPE_KINDS = (0, 4)
 
 
 @st.composite
-def lag_list_models(draw):
-    """1-4 lags of the six kinds of count laws, with mean_l1 below 1."""
+def count_laws(draw, mean: float, kinds=tuple(range(6))):
+    return _lag_law(draw(st.sampled_from(kinds)), mean, draw(st.floats(0.0, 1.0)), draw(st.integers(1, 3)))
+
+
+@st.composite
+def lag_list_models(draw, kinds=tuple(range(6))):
+    """1-4 lags of the given kinds of count laws, with mean_l1 below 1.
+
+    With all six kinds the immigration may also be Constant(0), Constant(1) or Constant(2).
+    """
     mean_l1 = draw(st.floats(0.05, 0.95))
     weights = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
-    laws = tuple(draw(count_laws(mean_l1 * w / sum(weights))) for w in weights)
-    immigration = draw(st.one_of(st.floats(0.01, 0.95).flatmap(count_laws), st.integers(0, 2).map(Constant)))
-    return InarModel(immigration, ExplicitOffspring(laws))
+    laws = tuple(draw(count_laws(mean_l1 * w / sum(weights), kinds)) for w in weights)
+    immigration = st.floats(0.01, 0.95).flatmap(lambda mean: count_laws(mean, kinds))
+    if kinds != TAPE_KINDS:
+        immigration = st.one_of(immigration, st.integers(0, 2).map(Constant))
+    return InarModel(draw(immigration), ExplicitOffspring(laws))
+
+
+def _reads_old_draws(m: InarModel) -> bool:
+    return all(isinstance(law, (Bernoulli, FiniteSupport)) for law in (m.immigration, *m.offspring.laws))
 
 
 @settings(max_examples=60)
-@given(m=lag_list_models(), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+@given(m=lag_list_models(TAPE_KINDS), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
 # mean_l1 = 0.9: 2,500-2,900 uniforms a path, over four or five blocks of the tape
 @example(
     m=InarModel(FiniteSupport((0.5, 0.3, 0.2)), ExplicitOffspring((FiniteSupport((0.3, 0.5, 0.2)),))),
@@ -93,9 +107,8 @@ def lag_list_models(draw):
 )
 @example(m=InarModel(Bernoulli(0.5), ExplicitOffspring((Bernoulli(0.4),))), n=1, seed=0)
 @example(m=InarModel(Bernoulli(0.5), ExplicitOffspring((Bernoulli(0.35), Bernoulli(0.25)))), n=2, seed=0)
-# a Binomial lag reads more than one uniform per variate: the list stays on the loop
-@example(m=InarModel(Bernoulli(0.5), ExplicitOffspring((Bernoulli(0.3), Binomial(2, 0.2)))), n=300, seed=0)
 def test_lag_lists_draw_the_reference_numbers_bitwise(m, n, seed):
+    assert _reads_old_draws(m)
     for r in range(3):
         stream = RandomStream(seed=seed, stream=r)
         assert np.array_equal(simulate(m, n, stream).counts, simulate_reference(m, n, stream).counts)
@@ -137,6 +150,34 @@ def _sums_and_lasts(sim, m, n, reps, seed):
     return np.array([[x.sum(), x[-1]] for x in paths], dtype=np.float64).T
 
 
+def _assert_exact_moments(sums, lasts, m, n):
+    """The mean and variance of S_n and the mean of X_n, within MOMENT_SIGMAS standard errors."""
+    reps = len(sums)
+    tables = gbar_tables(m, n)
+    imm = m.immigration
+    mean = imm.mean() * tables.sum_g1
+    var = imm.variance() * tables.sum_g1_sq + 2.0 * imm.mean() * tables.sum_g2
+    assert abs(sums.mean() - mean) <= MOMENT_SIGMAS * math.sqrt(var / reps)
+    # E X_n = E[eps] g1(n): the last step, where a lag drawn past the horizon would land
+    assert abs(lasts.mean() - imm.mean() * tables.g1[-1]) <= MOMENT_SIGMAS * lasts.std() / math.sqrt(reps)
+    # standard error of the sample variance, from the sample's fourth central moment
+    centred = (sums - sums.mean()) ** 2
+    assert abs(centred.mean() * reps / (reps - 1) - var) <= MOMENT_SIGMAS * centred.std() / math.sqrt(reps)
+
+
+@settings(max_examples=30, derandomize=True)
+@given(m=lag_list_models().filter(lambda m: not _reads_old_draws(m)), n=st.integers(1, 120))
+# Binomial, Poisson and Geometric lags: each variate reads one uniform by inverse CDF
+@example(m=InarModel(Bernoulli(0.5), ExplicitOffspring((Bernoulli(0.3), Binomial(2, 0.2)))), n=120)
+@example(m=InarModel(Poisson(1.0), ExplicitOffspring((Poisson(0.3), Geometric(1.0 / 1.4)))), n=120)
+def test_other_lag_lists_match_the_reference_in_law(m, n):
+    reps = 400
+    ours, lasts = _sums_and_lasts(simulate, m, n, reps, 1)
+    theirs = _sums_and_lasts(simulate_reference, m, n, reps, 2)[0]
+    assert ks_2samp(ours, theirs).pvalue > KS_LEVEL
+    _assert_exact_moments(ours, lasts, m, n)
+
+
 @settings(max_examples=30, derandomize=True)
 @given(m=poisson_family_models(), n=st.integers(2, 120))
 def test_poisson_families_match_the_reference_in_law(m, n):
@@ -150,14 +191,4 @@ def test_poisson_families_match_the_reference_in_law(m, n):
 @given(m=poisson_family_models(), n=st.integers(1, 300))
 def test_poisson_families_have_the_exact_mean_and_variance(m, n):
     reps = 1000
-    sums, lasts = _sums_and_lasts(simulate, m, n, reps, 3)
-    tables = gbar_tables(m, n)
-    imm = m.immigration
-    mean = imm.mean() * tables.sum_g1
-    var = imm.variance() * tables.sum_g1_sq + 2.0 * imm.mean() * tables.sum_g2
-    assert abs(sums.mean() - mean) <= MOMENT_SIGMAS * math.sqrt(var / reps)
-    # E X_n = E[eps] g1(n): the last step, where a lag drawn past the horizon would land
-    assert abs(lasts.mean() - imm.mean() * tables.g1[-1]) <= MOMENT_SIGMAS * lasts.std() / math.sqrt(reps)
-    # standard error of the sample variance, from the sample's fourth central moment
-    centred = (sums - sums.mean()) ** 2
-    assert abs(centred.mean() * reps / (reps - 1) - var) <= MOMENT_SIGMAS * centred.std() / math.sqrt(reps)
+    _assert_exact_moments(*_sums_and_lasts(simulate, m, n, reps, 3), m, n)
