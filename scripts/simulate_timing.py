@@ -6,7 +6,9 @@ four lag lists whose laws read the tape by a table or a closed form
 rather than as Bernoulli or finite-support laws: a Binomial(2, 0.2) lag
 with Bernoulli(0.5) immigration, pure Poisson(1) immigration without
 lags, Poisson(0.3) and Poisson(0.2) lags with Poisson(1) immigration, and
-a Geometric(0.6) lag with Bernoulli(0.5) immigration; two near-critical
+a Geometric(0.6) lag with Bernoulli(0.5) immigration; the critical
+staircase, a Constant(1) lag with Constant(1) immigration, whose counts
+grow linearly and whose Constant laws read no uniform; two near-critical
 geometric Hawkes kernels (mean_l1 = 0.9 and 0.95, ratio 0.5, Poisson(1)
 immigration); and a power law of mean_l1 = 0.9 (a = 2) with Poisson(10)
 immigration, whose first generations are drawn by child time.  Each time
@@ -23,6 +25,7 @@ import time
 from inarlim import (
     Bernoulli,
     Binomial,
+    Constant,
     ExplicitOffspring,
     FiniteSupport,
     Geometric,
@@ -53,6 +56,7 @@ def kernels() -> dict:
         "poisson_imm": InarModel(Poisson(1.0), ExplicitOffspring(())),
         "two_poisson_lags": InarModel(Poisson(1.0), ExplicitOffspring((Poisson(0.3), Poisson(0.2)))),
         "geometric_lag": InarModel(Bernoulli(0.5), ExplicitOffspring((Geometric(0.6),))),
+        "staircase": InarModel(Constant(1), ExplicitOffspring((Constant(1),))),
         **hawkes,
         # c * zeta(2) = 0.9
         "power_law_0.9_imm10": InarModel(

@@ -80,8 +80,11 @@ class CountDistribution(Spec, family="distribution"):
     uniform on [0, 1) to one variate by inverse CDF (Devroye 1986, ch. II),
     by default on a CDF table over a bounded support (``_cdf``, built on
     first use); ``sample`` reads uniforms through it unless a law samples
-    by numpy.  ``sample_sum(rng, count)`` draws the sum of ``count`` copies
-    from the sum's own law, raising OverflowError past the 64-bit range.
+    by numpy.  ``inverse_cdf_top()`` bounds the variates of that map from
+    the parameters alone, so a caller can see how long a table would be
+    before it is built.  ``sample_sum(rng, count)`` draws the sum of
+    ``count`` copies from the sum's own law, raising OverflowError past the
+    64-bit range.
     """
 
     @functools.cached_property
@@ -96,6 +99,10 @@ class CountDistribution(Spec, family="distribution"):
         if size is None:
             return int(self.from_uniforms(rng.random()))
         return self.from_uniforms(rng.random(size)).astype(np.int64)
+
+    def inverse_cdf_top(self) -> float:
+        """An upper bound on the variates ``from_uniforms`` returns; it builds no table."""
+        return self.support_max()
 
     def support_min(self) -> int:
         """Smallest attainable value."""
@@ -259,6 +266,8 @@ class Poisson(CountDistribution):
     def __post_init__(self):
         if not self.lam >= 0.0:
             raise ConfigError(f"poisson rate must be nonnegative, got {self.lam}")
+        if self.lam == math.inf:
+            raise ConfigError("poisson rate must be finite, got inf")
 
     def mean(self) -> float:
         return self.lam
@@ -300,6 +309,11 @@ class Poisson(CountDistribution):
             total += term
             cdf.append(total)
             k += 1
+
+    def inverse_cdf_top(self) -> float:
+        # by Bernstein's inequality a term past this is below 2**-55, and past the mode the CDF
+        # is above 1/e, so such a term does not move it: the table ends before this
+        return self.lam + 9.0 * math.sqrt(self.lam) + 26.0
 
     def sample(self, rng, size=None):
         if size is None:
@@ -372,8 +386,14 @@ class Geometric(CountDistribution):
 
     def from_uniforms(self, u):
         # closed-form inverse CDF: P(floor(log1p(-u) / log1p(-p)) >= k) = (1 - p)^k, with
-        # log1p(-p) = -log_mgf_domain_sup(), -inf at p = 1, where every variate is 0
-        return np.floor(np.log1p(-u) / -self.log_mgf_domain_sup()).astype(np.int64)
+        # log1p(-p) = -log_mgf_domain_sup(), -inf at p = 1, where every variate is 0; a variate
+        # past the 64-bit range saturates below 2**63 rather than wrapping negative
+        k = np.minimum(np.log1p(-u) / -self.log_mgf_domain_sup(), 2.0**63 - 1024.0)
+        return np.floor(k).astype(np.int64)
+
+    def inverse_cdf_top(self) -> float:
+        # the variate of the largest double below 1, log(2**-53) / log1p(-p)
+        return 53.0 * math.log(2.0) / self.log_mgf_domain_sup()
 
     def sample_sum(self, rng, count: int) -> int:
         # negative binomial: the failures before the count-th success

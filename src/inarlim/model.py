@@ -22,8 +22,10 @@ sums of a sequence known in advance.  Each offspring sequence also draws a
 path itself: ``sample_counts(immigration, n, gen)`` returns X_1..X_n, a lag
 list step by step and a Poisson family generation by generation.  A lag
 list reads one uniform per variate (``from_uniforms``, an inverse CDF)
-from a tape drawn in blocks, or in a step past ``_TAPE_STEP_MAX``
-uniforms draws each lag's sum from the sum's own law (``sample_sum``).
+from a tape drawn in blocks, none for a Constant, or in a step past
+``_TAPE_STEP_MAX`` uniforms draws each lag's sum from the sum's own law
+(``sample_sum``), as in every step when a law may pass
+``_TAPE_VARIATE_MAX``.
 """
 
 from __future__ import annotations
@@ -31,13 +33,15 @@ from __future__ import annotations
 import collections
 import functools
 import hashlib
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import I64_MAX, POISSON_MEAN_MAX, CountDistribution, Poisson
+from .distributions import I64_MAX, POISSON_MEAN_MAX, Constant, CountDistribution, Poisson
 from .errors import AssumptionViolation, ConfigError
 from .spec import Spec, from_spec
 
@@ -416,39 +420,54 @@ _PER_CHILD_LIMIT = 4
 _TAPE_BLOCK_MAX = 4096
 # Past this many uniforms a lag-list step draws sum laws, so its memory is bounded at any count.
 _TAPE_STEP_MAX = 2**20
+# A lag list with a law whose variates may pass this draws sum laws at every step: no inverse-CDF
+# table is longer, and no int64 sum of a step's variates, at most 2**36, can wrap.
+_TAPE_VARIATE_MAX = 2**16
 
 
 def _counts_from_tape(immigration: CountDistribution, laws: tuple, n: int, gen) -> np.ndarray:
     """X_1..X_n of a lag list, from a tape of uniforms, one per variate (``from_uniforms``).
 
-    Step t reads one uniform for the immigration, then x[t - i] for lag i.
-    Each block of uniforms becomes Python tables, the immigration's draws
-    and the prefix sums of each lag law's draws, so a lag's offspring sum
-    is one difference; unread uniforms carry over.  A step needing more
-    than a block reads its own uniforms, summed by numpy, and one past
-    ``_TAPE_STEP_MAX`` draws each lag's sum by ``sample_sum``.
+    Step t reads one uniform for the immigration, then x[t - i] for lag i;
+    a Constant reads none, and its c parents add c * value.  Each block of
+    uniforms becomes Python tables, the immigration's draws and the prefix
+    sums of each other lag law's draws, so a lag's offspring sum is one
+    difference; unread uniforms carry over.  A step needing more than a
+    block reads its own uniforms, summed by numpy, and one past
+    ``_TAPE_STEP_MAX``, or any step of a list with a law past
+    ``_TAPE_VARIATE_MAX`` (``inverse_cdf_top``), draws each sum by
+    ``sample_sum``.
     """
-    lags = len(laws)
+    lags, reads = len(laws), int(not isinstance(immigration, Constant))
+    drawn = [not isinstance(law, Constant) for law in laws]
+    values = [0 if d else law.value for law, d in zip(laws, drawn)]
+    tape_laws, points = [law for law, d in zip(laws, drawn) if d], not all(drawn)
     block, step_max = min(2 * n + 64, _TAPE_BLOCK_MAX), _TAPE_STEP_MAX
-    if any(max(law.from_uniforms(0.0), law.from_uniforms(1.0 - 2**-53)) > I64_MAX >> 20 for law in laws):
-        block = step_max = 0  # an int64 sum of 2**20 of its top variates could wrap: draw sum laws
+    tops = [law.inverse_cdf_top() for law in [immigration] * reads + tape_laws]
+    if max(tops, default=0) > _TAPE_VARIATE_MAX:
+        block = step_max = -1  # every step, even one reading no uniform, draws sum laws
     tape = np.empty(0)
-    pos = end = 0
+    pos = end = fixed = 0
     x = []
     for _ in range(n):
-        recent = x[: -lags - 1 : -1]  # lag 1, lag 2, ...
-        need = 1 + sum(recent)
-        if pos + need > end:
+        counts = x[: -lags - 1 : -1]  # lag 1, lag 2, ...
+        if points:  # Constant lags read no uniform: they add c * value, and drop out of the counts
+            counts, fixed = list(itertools.compress(counts, drawn)), sum(map(operator.mul, counts, values))
+            if fixed > I64_MAX:
+                raise OverflowError(f"count at step {len(x) + 1} exceeds the 64-bit integer maximum")
+        need = reads + sum(counts)
+        if pos + need >= end:  # so that imm[pos] is there when a step reads no uniform
             if need > block:
                 if need > step_max:
-                    total = int(immigration.from_uniforms(gen.random()))
-                    total += sum(law.sample_sum(gen, c) for law, c in zip(laws, recent))
+                    total = immigration.sample_sum(gen, 1)
+                    total += sum(law.sample_sum(gen, c) for law, c in zip(tape_laws, counts))
                 else:
                     u = np.concatenate((tape[pos:], gen.random(need - (end - pos))))
-                    total, at = int(immigration.from_uniforms(u[0])), 1
-                    for law, c in zip(laws, recent):
+                    total, at = int(immigration.from_uniforms(u[0])), reads
+                    for law, c in zip(tape_laws, counts):
                         total += int(law.from_uniforms(u[at : at + c]).sum())
                         at += c
+                total += fixed
                 if total > I64_MAX:
                     raise OverflowError(f"count at step {len(x) + 1} exceeds the 64-bit integer maximum")
                 x.append(total)
@@ -458,13 +477,13 @@ def _counts_from_tape(immigration: CountDistribution, laws: tuple, n: int, gen) 
             pos, end = 0, len(tape)
             imm = immigration.from_uniforms(tape).tolist()
             sums = []
-            for law in laws:
+            for law in tape_laws:
                 prefix = np.zeros(end + 1, dtype=np.int64)
                 np.cumsum(law.from_uniforms(tape), out=prefix[1:])
                 sums.append(prefix.tolist())
-        total = imm[pos]
-        pos += 1
-        for prefix, c in zip(sums, recent):
+        total = imm[pos] + fixed
+        pos += reads
+        for prefix, c in zip(sums, counts):
             total += prefix[pos + c] - prefix[pos]
             pos += c
         x.append(total)

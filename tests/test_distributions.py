@@ -261,7 +261,9 @@ def test_sample_sum_past_the_64_bit_range_raises_overflow(d):
 UNIFORM_GRID = np.concatenate(([0.0], np.linspace(0.0, 1.0, 1001)[1:-1], [np.nextafter(1.0, 0.0)]))
 
 
-@pytest.mark.parametrize("d", ALL_DISTS + [Binomial(40, 0.7), Poisson(30.0), Geometric(0.05)], ids=repr)
+@pytest.mark.parametrize(
+    "d", ALL_DISTS + [Binomial(40, 0.7), Binomial(3, 0.0), Poisson(30.0), Geometric(0.05)], ids=repr
+)
 def test_from_uniforms_inverts_the_cdf(d):
     # the variate k of u has CDF(k - 1) <= u < CDF(k), up to the rounding of the float CDF;
     # a Bernoulli variate is 1 for u < p, its CDF read from the top, so there 1 - u takes u's place
@@ -275,12 +277,22 @@ def test_from_uniforms_inverts_the_cdf(d):
     assert int(d.from_uniforms(0.3)) == ks[300]
 
 
-POINT_MASSES_AT_ZERO = [Geometric(1.0), Poisson(0.0), Constant(0), Bernoulli(0.0), Binomial(3, 0.0)]
+def test_geometric_variates_past_the_64_bit_range_saturate():
+    # p = 1e-18: the top variates pass 2**63, and stay positive and in order rather than wrapping
+    ks = Geometric(1e-18).from_uniforms(UNIFORM_GRID)
+    assert ks[0] == 0 and (np.diff(ks) >= 0).all() and ks[-1] >= 2**62
 
 
-@pytest.mark.parametrize("d", POINT_MASSES_AT_ZERO, ids=repr)
-def test_point_masses_at_zero_map_every_uniform_to_zero(d):
-    assert (np.asarray(d.from_uniforms(UNIFORM_GRID)) == 0).all()
+WIDE_LAWS = [Poisson(1000.0), Binomial(10**9, 5e-10), Poisson(1e9), Geometric(1e-18)]
+
+
+@pytest.mark.parametrize("d", ALL_DISTS + WIDE_LAWS, ids=repr)
+def test_inverse_cdf_top_bounds_the_variates_before_any_table(d):
+    d = dist_from_spec(d.to_spec())  # a fresh instance, whose table no other test has built
+    top = d.inverse_cdf_top()
+    assert "_cdf" not in vars(d)
+    if top <= 2**16:  # a table this long is quick to build
+        assert int(d.from_uniforms(np.nextafter(1.0, 0.0))) <= top
 
 
 def test_finite_support_draws_by_its_cumulative_probabilities():
@@ -331,5 +343,8 @@ def test_invalid_parameters_rejected():
         Binomial(0, 0.5)
     with pytest.raises(ConfigError):
         Constant(-1)
+    for lam in (-1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            Poisson(lam)
     with pytest.raises(ConfigError):
         FiniteSupport((0.5, 0.4))

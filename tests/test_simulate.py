@@ -7,6 +7,7 @@ from scipy.stats import ks_2samp
 
 from inarlim import (
     Bernoulli,
+    Binomial,
     Constant,
     ExplicitOffspring,
     FingerprintMismatch,
@@ -116,13 +117,14 @@ EXPLODING_BERNOULLI_LIST = InarModel(Bernoulli(0.5), ExplicitOffspring((Bernoull
 
 
 def test_overflow_raises():
-    # four supercritical lag lists, and three supercritical Poisson families whose means pass
+    # five supercritical lag lists, and three supercritical Poisson families whose means pass
     # numpy's Poisson range
     cases = [
         (InarModel(Constant(1), ExplicitOffspring((Constant(20),))), 20),
         (EXPLODING_BERNOULLI_LIST, 200),
         (InarModel(Poisson(1.0), ExplicitOffspring((Poisson(1.0), Poisson(1.0)))), 200),
         (InarModel(Poisson(1.0), ExplicitOffspring((Geometric(0.3),))), 200),
+        (InarModel(Constant(1), ExplicitOffspring((Geometric(1e-18),))), 5),
         (InarModel(Poisson(1.0), PoissonOffspring(GeometricDecay(0.6, 0.5))), 1000),
         (InarModel(Poisson(1.0), PoissonOffspring(FiniteDecay((3.0,)))), 60),
         (InarModel(Poisson(1.0), PoissonOffspring(PowerLawDecay(0.9, 2.0))), 2000),
@@ -133,10 +135,20 @@ def test_overflow_raises():
 
 
 def test_lag_laws_with_giant_variates_draw_exact_sums():
-    # 2**59 offspring at lag 17: int64 prefix sums of such variates on the tape would wrap, so
-    # these steps draw sum laws, exact in Python ints
+    # 2**59 offspring at lag 17: a Constant lag reads no uniform, and adds c * value in Python ints
     m = InarModel(Constant(1), ExplicitOffspring((Constant(0),) * 16 + (Constant(2**59),)))
     assert simulate(m, 18, RandomStream(seed=0)).counts.tolist() == [1] * 17 + [1 + 2**59]
+
+
+def test_lag_laws_too_wide_for_a_table_draw_sum_laws():
+    # a Binomial(1e9, 5e-10) lag (mean 0.5) or Poisson(1e9) immigration would need a table of
+    # about 1e9 entries: such a list draws sum laws at every step and builds no table
+    lag, imm = Binomial(10**9, 5e-10), Poisson(1e9)
+    counts = simulate(InarModel(Bernoulli(0.5), ExplicitOffspring((lag,))), 2000, RandomStream(seed=0)).counts
+    assert abs(counts.mean() - 1.0) < 0.2  # the stationary mean, 0.5 / (1 - 0.5)
+    counts = simulate(InarModel(imm, ExplicitOffspring(())), 50, RandomStream(seed=0)).counts
+    assert (abs(counts - 1e9) < 6.0 * math.sqrt(1e9)).all()
+    assert "_cdf" not in vars(lag) and "_cdf" not in vars(imm)
 
 
 def test_exploding_path_keeps_memory_bounded():
