@@ -425,7 +425,7 @@ _TAPE_STEP_MAX = 2**20
 _TAPE_VARIATE_MAX = 2**16
 
 
-def _counts_from_tape(immigration: CountDistribution, laws: tuple, n: int, gen) -> np.ndarray:
+def _counts_from_tape(immigration: CountDistribution, tape_lags: tuple, n: int, gen) -> np.ndarray:
     """X_1..X_n of a lag list, from a tape of uniforms, one per variate (``from_uniforms``).
 
     Step t reads one uniform for the immigration, then x[t - i] for lag i;
@@ -436,15 +436,12 @@ def _counts_from_tape(immigration: CountDistribution, laws: tuple, n: int, gen) 
     block reads its own uniforms, summed by numpy, and one past
     ``_TAPE_STEP_MAX``, or any step of a list with a law past
     ``_TAPE_VARIATE_MAX`` (``inverse_cdf_top``), draws each sum by
-    ``sample_sum``.
+    ``sample_sum``.  ``tape_lags`` is ``ExplicitOffspring._tape_lags``.
     """
-    lags, reads = len(laws), int(not isinstance(immigration, Constant))
-    drawn = [not isinstance(law, Constant) for law in laws]
-    values = [0 if d else law.value for law, d in zip(laws, drawn)]
-    tape_laws, points = [law for law, d in zip(laws, drawn) if d], not all(drawn)
+    drawn, values, tape_laws, top = tape_lags
+    lags, points, reads = len(drawn), not all(drawn), int(not isinstance(immigration, Constant))
     block, step_max = min(2 * n + 64, _TAPE_BLOCK_MAX), _TAPE_STEP_MAX
-    tops = [law.inverse_cdf_top() for law in [immigration] * reads + tape_laws]
-    if max(tops, default=0) > _TAPE_VARIATE_MAX:
+    if max(top, immigration.inverse_cdf_top() if reads else 0) > _TAPE_VARIATE_MAX:
         block = step_max = -1  # every step, even one reading no uniform, draws sum laws
     tape = np.empty(0)
     pos = end = fixed = 0
@@ -601,7 +598,16 @@ class ExplicitOffspring(OffspringSequence):
 
     def sample_counts(self, immigration: CountDistribution, n: int, gen) -> np.ndarray:
         """Draw X_1..X_n one step at a time, from a tape of uniforms (``_counts_from_tape``)."""
-        return _counts_from_tape(immigration, self.laws, n, gen)
+        return _counts_from_tape(immigration, self._tape_lags, n, gen)
+
+    @functools.cached_property
+    def _tape_lags(self) -> tuple:
+        """Which lags read the tape (all but Constants), each Constant's value (0 elsewhere), the
+        laws that read it, and the largest of their ``inverse_cdf_top``: worked out once per list."""
+        drawn = tuple(not isinstance(law, Constant) for law in self.laws)
+        tape_laws = tuple(itertools.compress(self.laws, drawn))
+        values = tuple(0 if d else law.value for law, d in zip(self.laws, drawn))
+        return drawn, values, tape_laws, max((law.inverse_cdf_top() for law in tape_laws), default=0)
 
 
 @dataclass(frozen=True)
