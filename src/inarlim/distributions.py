@@ -60,7 +60,11 @@ def log_sum_exp(x, weights) -> float:
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     keep = w > 0.0
-    x, w = x[keep], w[keep]
+    return _log_sum_exp_kept(x[keep], w[keep])
+
+
+def _log_sum_exp_kept(x: np.ndarray, w: np.ndarray) -> float:
+    """``log_sum_exp`` of float arrays whose weights are all positive."""
     top = float(x.max(initial=-math.inf))
     if math.isinf(top):
         return top
@@ -437,17 +441,23 @@ class FiniteSupport(CountDistribution):
             # point k in the direction of t counts, and the others add exactly 0
             k = self.support_max() if t > 0 else self.support_min()
             return t * k + math.log(self.probs[k]) if k else math.log(self.probs[0])
-        return log_sum_exp(t * self._values(), self.probs)
+        v, p = self._kept
+        return _log_sum_exp_kept(t * v, p)
 
     def log_mgf_prime(self, t: float) -> float:
         if math.isinf(t * len(self.probs)):
             return float(self.support_max() if t > 0 else self.support_min())
         # the mean under the tilted law, whose weights exp(log p_k + t k - log_mgf(t)) are
         # at most 1, taken over the positive p_k only
+        v, p = self._kept
+        return float(np.dot(v, np.exp(np.log(p) + t * v - self.log_mgf(t))))
+
+    @functools.cached_property
+    def _kept(self) -> tuple:
+        """The support points of positive probability, as floats, and those probabilities."""
         p = np.asarray(self.probs)
         keep = p > 0.0
-        v, p = self._values()[keep], p[keep]
-        return float(np.dot(v, np.exp(np.log(p) + t * v - log_sum_exp(t * v, p))))
+        return self._values()[keep], p[keep]
 
     def pmf(self, k: int) -> float:
         if 0 <= k < len(self.probs):

@@ -17,7 +17,9 @@ list sums each lag's log-MGF.  ``expansion_tables(variances, n)`` of the
 lag means' decay law gives the g1/g2 expansion tables.  A geometric
 kernel carries each history sum in one running state, a finite list of
 one lag in one product, and power laws and longer lists take one dot
-product over the lags they have.  ``history_sums(u)`` gives the history
+product over the lags they have.  Each loop stops where its whole state
+repeats bit for bit and fills in the rest (see ``DecayLaw``): the output
+keeps every bit of the loop run to the horizon.  ``history_sums(u)`` gives the history
 sums of a sequence known in advance.  Each offspring sequence also draws a
 path itself: ``sample_counts(immigration, n, gen)`` returns X_1..X_n, a lag
 list step by step and a Poisson family generation by generation.  A lag
@@ -113,14 +115,26 @@ def hurwitz_zeta(x: float, q: float) -> float:
     return s
 
 
-def _constant_tilts(theta: float, f: np.ndarray) -> int:
+def _same(x: float, y: float) -> bool:
+    """Whether two floats are bit for bit the same: 0.0 and -0.0 differ, and nan is never the same."""
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def _run_start(f: np.ndarray, k: int, v: float) -> int:
+    """The first index j <= k with f[j], ..., f[k - 1] all bit for bit v."""
+    while k and _same(f[k - 1], v):
+        k -= 1
+    return k
+
+
+def _constant_tilts(theta: float, f: np.ndarray) -> tuple:
     """The tilts without offspring: f_k = theta + 0.0 after the first (see ``poisson_tilts``)."""
     f[0] = theta
     later = theta + 0.0
-    if len(f) > 1 and not math.isfinite(later):
-        return 1
+    if len(f) == 1 or not math.isfinite(later):
+        return 1, None
     f[1:] = later
-    return len(f)
+    return len(f), _run_start(f, 1, later)
 
 
 def _new_tables(n: int) -> tuple:
@@ -135,7 +149,9 @@ def _running_tables(c: float, r: float, c_var: float, r_var: float, n: int) -> t
 
     The lag means are c r**(k-1) and the lag variances c_var r_var**(k-1).
     With r = 0 a sum is c u_{k-1} exactly (0.0 * y adds +0.0 to a
-    nonnegative term), the length-1 dot of a one-lag list.
+    nonnegative term), the length-1 dot of a one-lag list.  Once the
+    six-float state (the three sums, g1, g1^2 and g2) repeats bit for bit,
+    the rest of the tables repeats its entries.
     """
     g1, g1sq, g2 = _new_tables(n)
     # item stores from Python floats
@@ -143,10 +159,15 @@ def _running_tables(c: float, r: float, c_var: float, r_var: float, n: int) -> t
     s1 = s1sq = s2 = 0.0
     a, a_sq, b = 1.0, 1.0, 0.0
     for k in range(1, n):
-        s2 = r * s2 + c * b
-        s1sq = r_var * s1sq + c_var * a_sq
+        t2 = r * s2 + c * b
+        t1sq = r_var * s1sq + c_var * a_sq
+        t1 = r * s1 + c * a
+        # g1, g1^2 and g2 are functions of the three sums, so equal sums are an equal state
+        if t1 == s1 and all(map(_same, (t1, t1sq, t2), (s1, s1sq, s2))):
+            g1[k:], g1sq[k:], g2[k:] = a, a_sq, b
+            break
+        s2, s1sq, s1 = t2, t1sq, t1
         b = s2 + 0.5 * s1sq
-        s1 = r * s1 + c * a
         a = 1.0 + s1
         a_sq = a * a
         out1[k] = a
@@ -167,10 +188,20 @@ class DecayLaw(Spec, family="decay"):
       with u = expm1(f) into f, the tilts of a Poisson family with these
       lag means.  An expm1 that overflows is +inf, and +inf at a lag of
       zero mean adds 0.  It stops before the first infinite tilt and
-      returns the number of tilts written.
+      returns the number of tilts written, and the index from which every
+      later tilt is the same float (or None).
     * ``expansion_tables(variances, n)`` gives the tables (g1, g1^2, g2)
       of ``recursions.gbar_tables``, these laws the lag means and
       ``variances`` the lag variances, of the same kind and lags.
+
+    Each step of a loop is a fixed float function of its state: the
+    running sums and last values of a geometric law, the last L values of
+    L lags.  So a state that repeats bit for bit repeats for ever, and the
+    loop stops there and fills the rest of its output with the repeated
+    values.  Below the critical tilt the geometric and finite-list
+    recursions reach their fixed point in floats, within a few hundred
+    steps on the usual kernels.  A window of the whole history (a power
+    law) never repeats.
     """
 
 
@@ -179,15 +210,17 @@ class _DotDecay(DecayLaw):
 
     The dot runs over the lags the law has, up to n - 1 at horizon n
     (``_lags``), as one contiguous dot of the kept values with the reversed
-    coefficients.
+    coefficients.  A loop over L < n - 1 lags stops at L + 1 equal steps
+    in full windows; a window of the whole history is never checked.
     """
 
-    def poisson_tilts(self, theta: float, f: np.ndarray) -> int:
+    def poisson_tilts(self, theta: float, f: np.ndarray) -> tuple:
         n = len(f)
         alpha_rev = np.ascontiguousarray(self.coefficients(self._lags(n))[::-1])
         if not alpha_rev.any():
             return _constant_tilts(theta, f)
         lags = len(alpha_rev)
+        settle_from = lags if lags < n - 1 else n
         u = np.empty(n, dtype=np.float64)  # expm1 of each tilt
         kept, out = memoryview(u), memoryview(f)  # item stores from Python floats
         dot, expm1, isfinite, inf = np.dot, math.expm1, math.isfinite, math.inf
@@ -211,27 +244,39 @@ class _DotDecay(DecayLaw):
                 # an infinite value at a lag with zero mean adds 0, where the dot would give nan
                 hit = x == inf
                 s = inf if (a[hit] > 0.0).any() else float(dot(np.where(hit, 0.0, x), a))
-            last = theta + s
-            if not isfinite(last):
-                return k
-            out[k] = last
-        return n
+            new = theta + s
+            if not isfinite(new):
+                return k, None
+            # a full window of lags + 1 equal tilts: the next window is this one again
+            if k >= settle_from and new == last and k - (j := _run_start(f, k, new)) >= lags:
+                f[k:] = new
+                return n, j
+            out[k] = last = new
+        return n, None
 
     def expansion_tables(self, variances: DecayLaw, n: int) -> tuple:
-        """Three contiguous dots a step, over the lags the laws have."""
+        """Three contiguous dots a step, over the lags the laws have, until lags + 1 entries repeat."""
         lags = self._lags(n)
+        settle_from = lags if lags < n - 1 else n
         mean_rev = np.ascontiguousarray(self.coefficients(lags)[::-1])
         var_rev = np.ascontiguousarray(variances.coefficients(lags)[::-1])
         g1, g1sq, g2 = _new_tables(n)
         out1, out1sq, out2 = memoryview(g1), memoryview(g1sq), memoryview(g2)
         dot = np.dot
+        a, b = 1.0, 0.0
         for k in range(1, n):
             if k >= lags:
                 lo, a_mean, a_var = k - lags, mean_rev, var_rev
             else:
                 lo, a_mean, a_var = 0, mean_rev[lags - k :], var_rev[lags - k :]
-            b = float(dot(g2[lo:k], a_mean)) + 0.5 * float(dot(g1sq[lo:k], a_var))
-            a = 1.0 + float(dot(g1[lo:k], a_mean))
+            new_b = float(dot(g2[lo:k], a_mean)) + 0.5 * float(dot(g1sq[lo:k], a_var))
+            new_a = 1.0 + float(dot(g1[lo:k], a_mean))
+            # g1^2 is a function of g1, so equal (g1, g2) pairs are equal triples
+            if k >= settle_from and new_a == a and new_b == b:
+                if k - max(_run_start(g1, k, new_a), _run_start(g2, k, new_b)) >= lags:
+                    g1[k:], g1sq[k:], g2[k:] = new_a, new_a * new_a, new_b
+                    break
+            a, b = new_a, new_b
             out1[k] = a
             out1sq[k] = a * a
             out2[k] = b
@@ -272,25 +317,34 @@ class GeometricDecay(DecayLaw):
         """(exponent a of a witnessing k**(-a) bound, description of the tail)."""
         return 2.0, "geometric decay dominates every polynomial"
 
-    def poisson_tilts(self, theta: float, f: np.ndarray) -> int:
-        """y_k = r y_{k-1} + c expm1(f_{k-1}): one state variable carries the whole history."""
+    def poisson_tilts(self, theta: float, f: np.ndarray) -> tuple:
+        """y_k = r y_{k-1} + c expm1(f_{k-1}): one state variable carries the whole history.
+
+        The loop stops once the state (y_k, f_k) repeats bit for bit.
+        """
         if self.c == 0.0:
             return _constant_tilts(theta, f)
         c, r = self.c, self.r
+        n = len(f)
         out = memoryview(f)  # item stores from Python floats
         expm1, isfinite = math.expm1, math.isfinite
         s = 0.0
         f[0] = last = theta
-        for k in range(1, len(f)):
+        for k in range(1, n):
+            prev = s
             try:
                 s = r * s + c * expm1(last)
             except OverflowError:
-                return k  # c * inf makes f_k infinite
+                return k, None  # c * inf makes f_k infinite
+            # f_1 is theta itself, not theta + 0.0 (which differs at theta = -0.0)
+            if s == prev and _same(s, prev) and _same(theta + s, last):
+                f[k:] = last
+                return n, _run_start(f, k, last)
             last = theta + s
             if not isfinite(last):
-                return k
+                return k, None
             out[k] = last
-        return len(f)
+        return n, None
 
     def expansion_tables(self, variances: GeometricDecay, n: int) -> tuple:
         """Three running sums, one per history."""
@@ -560,41 +614,49 @@ class ExplicitOffspring(OffspringSequence):
         """log P(one individual has no offspring at any lag)."""
         return math.fsum(math.log(law.pmf(0)) for law in self.laws)
 
-    def tilts(self, theta: float, f: np.ndarray) -> int:
+    def tilts(self, theta: float, f: np.ndarray) -> tuple:
         """f_k = theta + the sum over lags i = 1..min(k - 1, len(laws)) of log E[exp(f_{k-i} xi_i)].
 
         The sum runs in lag order and stops as soon as it reaches +inf.
         With several lags the last len(laws) tilts are kept as Python
-        floats, most recent first.  Returns the number of tilts written, as
-        ``DecayLaw.poisson_tilts`` does.
+        floats, most recent first.  The loop stops at len(laws) + 1 equal
+        tilts, the window of the next step then being this one's again.
+        Returns what ``DecayLaw.poisson_tilts`` returns.
         """
         log_mgfs = [law.log_mgf for law in self.laws]
+        n, lags = len(f), len(log_mgfs)
         out = memoryview(f)  # item stores from Python floats
         isfinite, inf = math.isfinite, math.inf
         f[0] = last = theta
-        if len(log_mgfs) == 1:
+        if lags == 1:
             # same bits as the loop below (its sum starts at 0.0); the loop's
             # deque and zip cost an AR(1) about a third of its time
             (only,) = log_mgfs
-            for k in range(1, len(f)):
-                last = theta + only(last)
+            for k in range(1, n):
+                prev, last = last, theta + only(last)
+                if last == prev and _same(last, prev):
+                    f[k:] = last
+                    return n, k - 1  # f[k - 2] differs, or the loop had stopped a step earlier
                 if not isfinite(last):
-                    return k
+                    return k, None
                 out[k] = last
-            return len(f)
-        recent = collections.deque(maxlen=len(log_mgfs))
-        for k in range(1, len(f)):
+            return n, None
+        recent = collections.deque(maxlen=lags)
+        for k in range(1, n):
             recent.appendleft(last)
             s = 0.0
             for log_mgf, x in zip(log_mgfs, recent):
                 s += log_mgf(x)
                 if s == inf:
                     break
-            last = theta + s
-            if not isfinite(last):
-                return k
-            out[k] = last
-        return len(f)
+            new = theta + s
+            if not isfinite(new):
+                return k, None
+            if new == last and k >= lags and k - (j := _run_start(f, k, new)) >= lags:
+                f[k:] = new
+                return n, j
+            out[k] = last = new
+        return n, None
 
     def sample_counts(self, immigration: CountDistribution, n: int, gen) -> np.ndarray:
         """Draw X_1..X_n one step at a time, from a tape of uniforms (``_counts_from_tape``)."""
@@ -644,7 +706,7 @@ class PoissonOffspring(OffspringSequence):
     def log_no_offspring(self) -> float:
         return -self.decay.total()
 
-    def tilts(self, theta: float, f: np.ndarray) -> int:
+    def tilts(self, theta: float, f: np.ndarray) -> tuple:
         """The decay law's loop: sum_i alpha_i expm1(f_{k-i}) is sum_i log E[exp(f_{k-i} xi_i)]."""
         return self.decay.poisson_tilts(theta, f)
 

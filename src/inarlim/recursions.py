@@ -16,14 +16,19 @@ runs as one loop over the whole horizon, one loop per kernel kind, in
 running sum, in O(1) work per step; a lag list takes each lag's log-MGF
 in the tilt recursion, a one-lag list one product per table entry, and
 power laws and longer lists one dot product over the lags they have.
-This module adds what all kinds share: the immigration's exactly rounded
-sum of log-MGFs and the tables' bound checks.
+Below the critical tilt both recursions contract toward a fixed point,
+which they mostly reach in floats, and each loop stops where its state
+repeats bit for bit: each step is a fixed float function of the state,
+so the filled-in rest is exactly what the full loop computes.  This module adds what all kinds
+share: the immigration's exactly rounded sum of log-MGFs and the tables'
+bound checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -56,29 +61,38 @@ class MgfRecursion:
     first step k whose f_k is infinite, or None; ``values`` then stops
     before it and ``log_mgf_total`` is +inf.  The total is also +inf when
     the immigration log-MGF diverges, or overflows, at finite tilts.
+    ``settled_at`` is the first step from which every later tilt is the
+    same float, found where the recursion's state repeated bit for bit, or
+    None when it did not repeat within n steps (near the critical tilt).
     """
 
     theta: float
     values: np.ndarray
     log_mgf_total: float
     diverged_at: int | None
+    settled_at: int | None
 
 
 def tilt_recursion(m: InarModel, theta: float, n: int) -> MgfRecursion:
     """Run the tilt recursion for n steps, in the offspring sequence's loop.
 
     Each step adds to theta the decay law's history sum of expm1(f) for a
-    Poisson family, and each lag's log-MGF for explicit laws.
+    Poisson family, and each lag's log-MGF for explicit laws.  Past
+    ``settled_at`` the sum repeats one immigration log-MGF: the same terms
+    in the same order, at the cost of one call.
     """
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
     theta = float(theta)
     f = np.empty(n, dtype=np.float64)
-    k = m.offspring.tilts(theta, f)
+    k, settled = m.offspring.tilts(theta, f)
     if k < n:
-        return MgfRecursion(theta, f[:k].copy(), math.inf, k + 1)
-    terms = map(m.immigration.log_mgf, memoryview(f))  # item access in Python floats
-    return MgfRecursion(theta, f, _total(terms, theta), None)
+        return MgfRecursion(theta, f[:k].copy(), math.inf, k + 1, None)
+    log_mgf, tilts = m.immigration.log_mgf, memoryview(f)  # item access in Python floats
+    if settled is None:
+        return MgfRecursion(theta, f, _total(map(log_mgf, tilts), theta), None, None)
+    terms = chain(map(log_mgf, tilts[:settled]), repeat(log_mgf(tilts[settled]), n - settled))
+    return MgfRecursion(theta, f, _total(terms, theta), None, settled + 1)
 
 
 def _total(terms, theta: float) -> float:

@@ -37,6 +37,7 @@ from test_tilt_differential import (
     HAWKES,
     ONE_LAG_POISSON,
     TWO_LAG,
+    ZERO_FIRST_LAG_LIST,
     explicit_models,
     geometric_models,
     windowed_models,
@@ -108,6 +109,7 @@ def _same_tables(m, n):
 @example(m=AR1, n=2000)
 @example(m=AR1, n=1)
 @example(m=TWO_LAG, n=2)
+@example(m=ZERO_FIRST_LAG_LIST, n=2000)
 def test_lag_list_tables_match_the_windowed_loop_bitwise(m, n):
     _same_tables(m, n)
 
@@ -116,6 +118,7 @@ def test_lag_list_tables_match_the_windowed_loop_bitwise(m, n):
 @given(m=windowed_models(), n=st.integers(1, 2000))
 @example(m=ONE_LAG_POISSON, n=2000)
 @example(m=_poisson_family(FiniteDecay((0.0, 0.5))), n=1)
+@example(m=_poisson_family(FiniteDecay((0.0, 0.5))), n=2000)
 @example(m=_poisson_family(PowerLawDecay(0.3, 2.0)), n=2)
 def test_power_law_and_finite_tables_match_the_windowed_loop_bitwise(m, n):
     _same_tables(m, n)

@@ -135,6 +135,19 @@ def test_hawkes_log_mgf_exact_at_a_million_steps(hawkes):
     assert abs(log_mgf_exact(hawkes, theta, n) / n - limit_cgf(hawkes, theta)) < 1e-3
 
 
+def test_recursions_report_where_they_settle(hawkes, bernoulli_ar1):
+    rec = tilt_recursion(hawkes, 0.5 * critical_tilt(hawkes)[0], 10**6)
+    assert rec.settled_at is not None and rec.settled_at < 1000
+    # the first step of the settled tail: the tilt before it differs
+    k = rec.settled_at - 1
+    assert rec.values[k - 1] != rec.values[k]
+    assert (rec.values[k:] == rec.values[k]).all()
+    # near the critical tilt the contraction is too slow to settle within 2000 steps
+    near = tilt_recursion(bernoulli_ar1, 0.999 * critical_tilt(bernoulli_ar1)[0], 2000)
+    assert near.settled_at is None
+    assert near.diverged_at is None
+
+
 def test_tilt_values_increase_and_converge(hawkes, bernoulli_ar1):
     n = 10**5
     for m in (hawkes, bernoulli_ar1):

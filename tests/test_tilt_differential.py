@@ -19,6 +19,7 @@ from scipy.special import zeta
 from inarlim import (
     Bernoulli,
     Binomial,
+    Constant,
     ExplicitOffspring,
     FiniteDecay,
     FiniteSupport,
@@ -101,6 +102,8 @@ ONE_LAG_POISSON = InarModel(Poisson(1.0), PoissonOffspring(FiniteDecay((0.6,))))
 # expm1(710) overflows at the zero-mean lag 1, so f_2 = 710 and the tilts diverge at step 3
 ZERO_FIRST_LAG = InarModel(Poisson(1.0), PoissonOffspring(FiniteDecay((0.0, 0.5))))
 ZERO_FIRST_LAG_FRAC = 710.0 / critical_tilt(ZERO_FIRST_LAG)[0]
+# f_2 = f_1 and then the tilts move again: one repeated tilt is not a repeated state
+ZERO_FIRST_LAG_LIST = InarModel(Bernoulli(0.5), ExplicitOffspring((Constant(0), Bernoulli(0.5))))
 
 # fractions of the critical tilt: below it the values converge, above it they blow up
 tilt_fractions = st.one_of(st.floats(-3.0, 0.9), st.floats(1.1, 3.0))
@@ -120,6 +123,7 @@ def _same_as_reference(m, theta, n):
 @example(m=AR1, frac=0.5, n=2000)
 @example(m=AR1, frac=0.5, n=1)
 @example(m=TWO_LAG, frac=2.0, n=2)
+@example(m=ZERO_FIRST_LAG_LIST, frac=0.5, n=2000)
 def test_explicit_laws_match_the_reference_bitwise(m, frac, n):
     _same_as_reference(m, frac * critical_tilt(m)[0], n)
 
@@ -130,6 +134,7 @@ def test_explicit_laws_match_the_reference_bitwise(m, frac, n):
 @example(m=ZERO_FIRST_LAG, frac=ZERO_FIRST_LAG_FRAC, n=5)
 @example(m=ZERO_FIRST_LAG, frac=0.5, n=1)
 @example(m=ONE_LAG_POISSON, frac=2.0, n=2)
+@example(m=ZERO_FIRST_LAG, frac=0.5, n=2000)
 def test_windowed_poisson_families_match_the_reference_bitwise(m, frac, n):
     _same_as_reference(m, frac * critical_tilt(m)[0], n)
 
