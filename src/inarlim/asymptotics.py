@@ -5,11 +5,12 @@ F(x) = x - sum_k log E[exp(x xi_k)] whose level sets define the critical
 tilt and the fixed-point tilt, the limiting scaled cumulant generating
 function, and the large/moderate-deviation rate functions.
 
-Root-finding is bisection only: concavity guarantees bracketing, and
-robustness beats speed at these scales.  One bracket search and one
-bisection serve every solve.  Derivatives use the catalog's closed forms.
-Fixed-point roots are located to 1e-12 in the argument, transform optima
-to 1e-10.
+Every root is bracketed first: concavity guarantees a sign change, and
+one bracket walk finds it.  One bracketed solver (``_solve``, ITP steps
+on the values the walk already has) then keeps bisection's worst case
+while converging superlinearly on these smooth roots.  Derivatives use
+the catalog's closed forms.  Fixed-point roots are located to 1e-12 in
+the argument, transform optima to 1e-10.
 """
 
 from __future__ import annotations
@@ -38,17 +39,23 @@ __all__ = [
 ROOT_XTOL = 1e-12
 OPT_XTOL = 1e-10
 _MAX_GROW = 200
+# ITP constants: the truncation is _ITP_K1 * (bracket width)**2 / (initial
+# width), and a solve may take _ITP_N0 steps beyond bisection's count.
+_ITP_K1 = 0.2
+_ITP_N0 = 1
 
 
-def _bracket(left_of_root, bound: float) -> tuple:
+def _bracket(value, bound: float, at_zero: float) -> tuple:
     """Walk from 0 toward ``bound`` until a probe lands across the root.
 
-    Probes double from +-1 when the bound is infinite and halve their gap
-    to it otherwise.  Returns (lo, hi) around the root, with None on the
-    far side when no probe crossed.
+    ``value`` is positive left of the root and not positive right of it
+    (0 counts as right); ``at_zero`` is its value at 0.  Probes double
+    from +-1 when the bound is infinite and halve their gap to it
+    otherwise.  Returns (lo, hi, value at lo, value at hi) around the
+    root, with None for the far side and its value when no probe crossed.
     """
     rightward = bound > 0.0
-    near = 0.0
+    near, v_near = 0.0, at_zero
     for j in range(1, _MAX_GROW):
         if math.isinf(bound):
             probe = math.copysign(2.0 ** (j - 1), bound)
@@ -56,21 +63,49 @@ def _bracket(left_of_root, bound: float) -> tuple:
             probe = bound * (1.0 - 0.5**j)
         if probe == near:
             continue
-        if left_of_root(probe) != rightward:
-            return (near, probe) if rightward else (probe, near)
-        near = probe
-    return (near, None) if rightward else (None, near)
+        v = value(probe)
+        if (v > 0.0) != rightward:
+            return (near, probe, v_near, v) if rightward else (probe, near, v, v_near)
+        near, v_near = probe, v
+    return (near, None, v_near, None) if rightward else (None, near, None, v_near)
 
 
-def _bisect(left_of_root, lo: float, hi: float, xtol: float) -> float:
+def _solve(value, lo: float, hi: float, v_lo: float, v_hi: float, xtol: float) -> float:
+    """Root of ``value`` (as for ``_bracket``) in [lo, hi], given its values at the ends.
+
+    Each step is ITP's (Oliveira & Takahashi 2020, ACM Trans. Math.
+    Softw. 47(1)): the regula falsi point, moved toward the midpoint by
+    the truncation, then projected to within the distance of the
+    midpoint that keeps bisection's worst case.  A bisection step
+    replaces it while an end value is not finite.  Returns the midpoint
+    of a final bracket no wider than xtol, or of one its midpoint can no
+    longer split, after at most ceil(log2((hi - lo) / xtol)) + _ITP_N0
+    evaluations.
+    """
+    width = hi - lo
+    kappa1 = _ITP_K1 / width
+    # The widest bracket the next step may leave; it halves every step.  It
+    # keeps 4 ulps of the larger end free at the last step, room for the
+    # rounding that every step adds, so rounding costs no extra step.
+    spare = 4.0 * math.ulp(max(abs(lo), abs(hi)))
+    cap = (xtol - spare) * 2.0 ** (math.ceil(math.log2(width / xtol)) + _ITP_N0 - 1)
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if left_of_root(mid):
-            lo = mid
+        x = mid
+        if math.isfinite(v_lo) and math.isfinite(v_hi):
+            offset = lo + (hi - lo) * (v_lo / (v_lo - v_hi)) - mid
+            shift = min(abs(offset) - kappa1 * (hi - lo) ** 2, cap - 0.5 * (hi - lo))
+            itp = mid + math.copysign(max(shift, 0.0), offset)
+            if lo < itp < hi:  # not when rounding puts the point on an end
+                x = itp
+        v = value(x)
+        if v > 0.0:
+            lo, v_lo = x, v
         else:
-            hi = mid
+            hi, v_hi = x, v
+        cap *= 0.5
     return 0.5 * (lo + hi)
 
 
@@ -111,11 +146,11 @@ def _critical_tilt(m: InarModel) -> _CriticalTilt:
         )
         return _CriticalTilt(value=asymptote, attained=False, argmax=math.nan)
     # F' crosses zero at an interior maximizer
-    rising = lambda x: _tilt_gap_prime(m, x) > 0.0
-    lo, hi = _bracket(rising, m.offspring.domain_sup())
+    slope = lambda x: _tilt_gap_prime(m, x)
+    lo, hi, v_lo, v_hi = _bracket(slope, m.offspring.domain_sup(), slope(0.0))
     if hi is None:
         raise RuntimeError("failed to bracket the maximizer of the tilt gap")
-    x_star = _bisect(rising, lo, hi, OPT_XTOL)
+    x_star = _solve(slope, lo, hi, v_lo, v_hi, OPT_XTOL)
     return _CriticalTilt(value=tilt_gap(m, x_star), attained=True, argmax=x_star)
 
 
@@ -146,18 +181,17 @@ def tilt_fixed_point(m: InarModel, theta: float) -> float:
             )
         return ct.argmax
 
-    # F is increasing left of its maximizer, so the root is where F crosses theta
-    below = lambda x: tilt_gap(m, x) < theta
+    # F is increasing left of its maximizer, so the root is where F crosses theta:
+    # theta - F is positive left of it, theta at 0 (F(0) = 0) and
+    # theta - ct.value < 0 at the maximizer
+    excess = lambda x: theta - tilt_gap(m, x)
     if theta > 0.0 and ct.attained:
-        if below(ct.argmax):
-            # theta within rounding of the critical value
-            return ct.argmax
-        lo, hi = 0.0, ct.argmax
+        lo, hi, v_lo, v_hi = 0.0, ct.argmax, theta, theta - ct.value
     else:
-        lo, hi = _bracket(below, math.copysign(math.inf, theta))
+        lo, hi, v_lo, v_hi = _bracket(excess, math.copysign(math.inf, theta), theta)
         if lo is None or hi is None:
             raise ValueError(f"no fixed point found for tilt {theta}")
-    return _bisect(below, lo, hi, ROOT_XTOL)
+    return _solve(excess, lo, hi, v_lo, v_hi, ROOT_XTOL)
 
 
 def limit_cgf(m: InarModel, theta: float) -> float:
@@ -204,7 +238,7 @@ def _legendre_at_fixed_point(m: InarModel, x: float, f_max: float) -> float:
     With theta = F(f) the objective is x F(f) - log E[exp(f eps)] for f up
     to f_max or the edge of the offspring and immigration domains.  Its
     slope x F'(f) - (d/df) log E[exp(f eps)] has the sign of x minus the
-    limiting CGF's slope, so one bisection on that sign finds the
+    limiting CGF's slope, so one bracketed solve of that slope finds the
     maximizer.  When the slope keeps its sign up to the boundary, the
     supremum is the limit there.
     """
@@ -223,24 +257,25 @@ def _legendre_at_fixed_point(m: InarModel, x: float, f_max: float) -> float:
     def objective(f: float) -> float:
         return x * tilt_gap(m, f) - m.immigration.log_mgf(f)
 
-    def rising(f: float) -> bool:
-        return x * _tilt_gap_prime(m, f) - m.immigration.log_mgf_prime(f) > 0.0
+    def slope(f: float) -> float:
+        return x * _tilt_gap_prime(m, f) - m.immigration.log_mgf_prime(f)
 
-    if rising(0.0):
+    at_zero = slope(0.0)
+    if at_zero > 0.0:
         bound = min(f_max, m.offspring.domain_sup(), m.immigration.log_mgf_domain_sup())
     else:
         bound = -math.inf
-    lo, hi = _bracket(rising, bound)
+    lo, hi, v_lo, v_hi = _bracket(slope, bound, at_zero)
     if lo is None or hi is None:
         return max(0.0, objective(hi if lo is None else lo))
-    return max(0.0, objective(_bisect(rising, lo, hi, OPT_XTOL)))
+    return max(0.0, objective(_solve(slope, lo, hi, v_lo, v_hi, OPT_XTOL)))
 
 
 def ldp_rate(m: InarModel, x: float) -> float:
     """Large-deviation rate: Legendre transform of the limiting CGF.
 
     Solved in the fixed-point variable f rather than the tilt, with one
-    bisection: as f runs up to the maximizer of F (or to the domain edge
+    bracketed solve: as f runs up to the maximizer of F (or to the domain edge
     when F has none) the tilt F(f) runs over its whole range.  Means
     outside the reachable range give +inf.
     """

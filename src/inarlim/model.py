@@ -692,10 +692,15 @@ class PoissonOffspring(OffspringSequence):
         return self.decay
 
     def cgf(self, x: float) -> float:
-        return Poisson(self.decay.total()).log_mgf(x)
+        return self._total_law.log_mgf(x)
 
     def cgf_prime(self, x: float) -> float:
-        return Poisson(self.decay.total()).log_mgf_prime(x)
+        return self._total_law.log_mgf_prime(x)
+
+    @functools.cached_property
+    def _total_law(self) -> Poisson:
+        """The offspring of one individual over all lags: Poisson with the decay's total mass, built once."""
+        return Poisson(self.decay.total())
 
     def domain_sup(self) -> float:
         return math.inf

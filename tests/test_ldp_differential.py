@@ -1,8 +1,8 @@
 """Differential checks of the theory layer on random small models.
 
 ``ldp_rate`` solves the Legendre transform in the fixed-point variable with
-one bisection; ``theta_reference.ldp_rate_theta`` solves it in the tilt with
-nested bisections.  The offspring CGF methods are checked against their
+one bracketed solve; ``theta_reference.ldp_rate_theta`` solves it in the tilt
+with nested bisections.  The offspring CGF methods are checked against their
 direct per-lag definitions.
 """
 

@@ -30,6 +30,7 @@ MODULES = ["inarlim"] + [
         ("mdp_curve_sweep.py", ["--horizons", "1000,10000"]),
         ("simulate_timing.py", ["--horizons", "5,20", "--repeats", "1"]),
         ("recursion_timing.py", ["--horizons", "5,20", "--repeats", "1"]),
+        ("theory_timing.py", ["--models", "1", "--repeats", "1"]),
     ],
 )
 def test_example_script_runs(script, args):

@@ -1,11 +1,11 @@
 """Independent large-deviation reference: the Legendre transform solved in the tilt.
 
 The package solves the transform in the fixed-point variable f with one
-bisection.  This reference solves it the direct way: an outer bisection on
-the tilt theta for the slope of the limiting CGF, where every slope
-evaluation solves the fixed point F(f) = theta by its own inner bisection.
-The two computations share only the fixed-point solver and the model's
-closed forms.
+bracketed solve.  This reference solves it the direct way: an outer
+bisection on the tilt theta for the slope of the limiting CGF, where every
+slope evaluation solves the fixed point F(f) = theta with the package's
+``tilt_fixed_point``.  The two computations share only the fixed-point
+solver and the model's closed forms.
 """
 
 import math
