@@ -8,7 +8,9 @@ it settles (its tilts stop changing) within a few hundred steps.  One more
 row runs the AR(1) at 0.99999 of its critical tilt, where the tilts never
 settle within 1e5 steps, so each loop pays its settle check at every
 step; its tables are the AR(1)'s.  Each time is the fastest of
-``--repeats`` calls, in milliseconds.
+``--repeats`` calls, in milliseconds.  ``--table-horizons`` times the
+tables at other horizons than the tilts (by default the same), so the
+tables can be timed at n = 1e6 without the power law's O(n**2) tilts.
 Run it against another checkout with PYTHONPATH pointing at its ``src``
 to compare two versions on the same machine.
 """
@@ -59,17 +61,19 @@ def best_ms(call, repeats: int) -> float:
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--horizons", default="2000,20000", help="comma-separated horizons")
+    parser.add_argument("--table-horizons", help="comma-separated horizons of the tables (default: --horizons)")
     parser.add_argument("--repeats", type=int, default=5, help="calls per cell; the fastest is kept")
     args = parser.parse_args()
     horizons = [int(v) for v in args.horizons.split(",")]
+    table_horizons = [int(v) for v in (args.table_horizons or args.horizons).split(",")]
 
-    header = [f"{what} n = {n} (ms)" for what in ("tilt", "tables") for n in horizons]
+    header = [f"tilt n = {n} (ms)" for n in horizons] + [f"tables n = {n} (ms)" for n in table_horizons]
     print("| kernel | " + " | ".join(header) + " |")
     print("|---|" + "---:|" * len(header))
     for name, (m, frac) in kernels().items():
         theta = frac * critical_tilt(m)[0]
         cells = [best_ms(lambda: tilt_recursion(m, theta, n), args.repeats) for n in horizons]
-        cells += [best_ms(lambda: gbar_tables(m, n), args.repeats) for n in horizons]
+        cells += [best_ms(lambda: gbar_tables(m, n), args.repeats) for n in table_horizons]
         print(f"| {name} | " + " | ".join(f"{c:.3f}" for c in cells) + " |")
 
 

@@ -17,7 +17,9 @@ list sums each lag's log-MGF.  ``expansion_tables(variances, n)`` of the
 lag means' decay law gives the g1/g2 expansion tables.  A geometric
 kernel carries each history sum in one running state, a finite list of
 one lag in one product, and power laws and longer lists take one dot
-product over the lags they have.  Each loop stops where its whole state
+product over the lags they have, except a power law's tables: they come
+from their generating functions, 1/(1 - A) by Newton steps on FFT
+products (``_series_inverse``).  Each loop stops where its whole state
 repeats bit for bit and fills in the rest (see ``DecayLaw``): the output
 keeps every bit of the loop run to the horizon.  ``history_sums(u)`` gives the history
 sums of a sequence known in advance.  Each offspring sequence also draws a
@@ -144,6 +146,32 @@ def _new_tables(n: int) -> tuple:
     return g1, g1sq, g2
 
 
+def _fft_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The product of the series x and y by real FFTs, without wrap-around, zero-padded past it."""
+    size = 1 << (len(x) + len(y) - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)
+
+
+def _series_inverse(b: np.ndarray, n: int) -> np.ndarray:
+    """The first n coefficients of 1/B for a series b with b[0] = 1, in O(n log n).
+
+    Newton steps R <- R + R (1 - B R) double the coefficients known (Brent
+    and Kung 1978).  With m known, B R is 1 + O(z**m), so its coefficients
+    m..2m - 1 come from one cyclic product over 2m points: the terms that
+    wrap around land on the first m, which are dropped.
+    """
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    r = np.ones(1)
+    m = 1
+    while m < n:
+        size = 2 * m
+        r_hat = rfft(r, size)
+        residual = -irfft(rfft(b[:size], size) * r_hat, size)[m:]
+        r = np.concatenate((r, irfft(r_hat * rfft(residual, size), size)[:m]))
+        m = size
+    return r[:n]
+
+
 def _running_tables(c: float, r: float, c_var: float, r_var: float, n: int) -> tuple:
     """The expansion tables with each history sum a running sum y_k = r y_{k-1} + c u_{k-1}.
 
@@ -192,7 +220,10 @@ class DecayLaw(Spec, family="decay"):
       later tilt is the same float (or None).
     * ``expansion_tables(variances, n)`` gives the tables (g1, g1^2, g2)
       of ``recursions.gbar_tables``, these laws the lag means and
-      ``variances`` the lag variances, of the same kind and lags.
+      ``variances`` the lag variances, of the same kind and lags.  The
+      tables solve linear renewal equations, so a power law takes them
+      from their generating functions by FFT series inversion, in
+      O(n log n), and not from a loop.
 
     Each step of a loop is a fixed float function of its state: the
     running sums and last values of a geometric law, the last L values of
@@ -201,17 +232,19 @@ class DecayLaw(Spec, family="decay"):
     values.  Below the critical tilt the geometric and finite-list
     recursions reach their fixed point in floats, within a few hundred
     steps on the usual kernels.  A window of the whole history (a power
-    law) never repeats.
+    law's tilts) never repeats.
     """
 
 
 class _DotDecay(DecayLaw):
-    """A decay law without a short recurrence: each history sum is one dot product.
+    """A decay law without a short recurrence: each tilt's history sum is one dot product.
 
     The dot runs over the lags the law has, up to n - 1 at horizon n
     (``_lags``), as one contiguous dot of the kept values with the reversed
     coefficients.  A loop over L < n - 1 lags stops at L + 1 equal steps
-    in full windows; a window of the whole history is never checked.
+    in full windows; a window of the whole history is never checked.  The
+    expansion tables, which are linear, go their own ways: a finite list
+    by the same dots (``FiniteDecay``), a power law by series inversion.
     """
 
     def poisson_tilts(self, theta: float, f: np.ndarray) -> tuple:
@@ -253,34 +286,6 @@ class _DotDecay(DecayLaw):
                 return n, j
             out[k] = last = new
         return n, None
-
-    def expansion_tables(self, variances: DecayLaw, n: int) -> tuple:
-        """Three contiguous dots a step, over the lags the laws have, until lags + 1 entries repeat."""
-        lags = self._lags(n)
-        settle_from = lags if lags < n - 1 else n
-        mean_rev = np.ascontiguousarray(self.coefficients(lags)[::-1])
-        var_rev = np.ascontiguousarray(variances.coefficients(lags)[::-1])
-        g1, g1sq, g2 = _new_tables(n)
-        out1, out1sq, out2 = memoryview(g1), memoryview(g1sq), memoryview(g2)
-        dot = np.dot
-        a, b = 1.0, 0.0
-        for k in range(1, n):
-            if k >= lags:
-                lo, a_mean, a_var = k - lags, mean_rev, var_rev
-            else:
-                lo, a_mean, a_var = 0, mean_rev[lags - k :], var_rev[lags - k :]
-            new_b = float(dot(g2[lo:k], a_mean)) + 0.5 * float(dot(g1sq[lo:k], a_var))
-            new_a = 1.0 + float(dot(g1[lo:k], a_mean))
-            # g1^2 is a function of g1, so equal (g1, g2) pairs are equal triples
-            if k >= settle_from and new_a == a and new_b == b:
-                if k - max(_run_start(g1, k, new_a), _run_start(g2, k, new_b)) >= lags:
-                    g1[k:], g1sq[k:], g2[k:] = new_a, new_a * new_a, new_b
-                    break
-            a, b = new_a, new_b
-            out1[k] = a
-            out1sq[k] = a * a
-            out2[k] = b
-        return g1, g1sq, g2
 
 
 @dataclass(frozen=True)
@@ -366,7 +371,11 @@ class GeometricDecay(DecayLaw):
 
 @dataclass(frozen=True)
 class PowerLawDecay(_DotDecay):
-    """Coefficients c * k**(-a) with a > 1; total mass c * zeta(a)."""
+    """Coefficients c * k**(-a) with a > 1; total mass c * zeta(a).
+
+    Its history sums and expansion tables are FFT series products (the
+    tables by series inversion), and its tilts the dot loop of ``_DotDecay``.
+    """
 
     c: float
     a: float
@@ -400,10 +409,30 @@ class PowerLawDecay(_DotDecay):
         y = np.zeros(n, dtype=np.float64)
         if n < 2 or self.c == 0.0:
             return y
-        size = 1 << (2 * n - 3).bit_length()  # no wrap-around into the n - 1 sums kept
-        spectrum = np.fft.rfft(u[:-1], size) * np.fft.rfft(self.coefficients(n - 1), size)
-        y[1:] = np.fft.irfft(spectrum, size)[: n - 1]
+        y[1:] = _fft_product(u[:-1], self.coefficients(n - 1))[: n - 1]
         return y
+
+    def expansion_tables(self, variances: PowerLawDecay, n: int) -> tuple:
+        """The tables from their generating functions, by FFT products: O(n log n).
+
+        With A and V the series of the lag means and variances and
+        R = 1/(1 - A), G1 = z/((1 - z)(1 - A)) makes g1 the running sum of
+        R, and g2 is R times (1/2) V g1^2, shifted one lag.  The products
+        round each entry to within a few ulps of its table's limit, not of
+        itself, so the loop's bits are not kept.  Without mass the tables
+        are exactly 1, 1 and 0.
+        """
+        g1, g1sq, g2 = _new_tables(n)
+        if self.c == 0.0:
+            g1[1:], g1sq[1:], g2[1:] = 1.0, 1.0, 0.0
+            return g1, g1sq, g2
+        r = _series_inverse(np.concatenate(([1.0], -self.coefficients(n - 1))), n)
+        g1[1:] = np.cumsum(r)[1:]
+        g1sq[1:] = g1[1:] * g1[1:]
+        lagged = np.zeros(n)  # (1/2) sum over i = 1..k of V_i g1(k + 1 - i)^2 at index k
+        lagged[1:] = 0.5 * _fft_product(variances.coefficients(n - 1), g1sq[:-1])[: n - 1]
+        g2[1:] = _fft_product(r, lagged)[1:n]
+        return g1, g1sq, g2
 
     def poly_sup(self, power: float) -> float:
         """sup over k >= 1 of k**power * c * k**(-a): attained at k = 1 unless power > a."""
@@ -442,11 +471,38 @@ class FiniteDecay(_DotDecay):
         return min(n - 1, len(self.values))
 
     def expansion_tables(self, variances: FiniteDecay, n: int) -> tuple:
-        """One lag by plain float products, which a length-1 dot gives exactly; more lags by dots."""
-        if len(self.values) != 1:
-            return super().expansion_tables(variances, n)
-        (mean,), (var,) = self.values, variances.values
-        return _running_tables(mean, 0.0, var, 0.0, n)
+        """One lag by plain float products, which a length-1 dot gives exactly.
+
+        More lags take three contiguous dots a step over the lags the laws
+        have, until lags + 1 entries repeat.
+        """
+        if len(self.values) == 1:
+            (mean,), (var,) = self.values, variances.values
+            return _running_tables(mean, 0.0, var, 0.0, n)
+        lags = self._lags(n)
+        mean_rev = np.ascontiguousarray(self.coefficients(lags)[::-1])
+        var_rev = np.ascontiguousarray(variances.coefficients(lags)[::-1])
+        g1, g1sq, g2 = _new_tables(n)
+        out1, out1sq, out2 = memoryview(g1), memoryview(g1sq), memoryview(g2)
+        dot = np.dot
+        a, b = 1.0, 0.0
+        for k in range(1, n):
+            if k >= lags:
+                lo, a_mean, a_var = k - lags, mean_rev, var_rev
+            else:
+                lo, a_mean, a_var = 0, mean_rev[lags - k :], var_rev[lags - k :]
+            new_b = float(dot(g2[lo:k], a_mean)) + 0.5 * float(dot(g1sq[lo:k], a_var))
+            new_a = 1.0 + float(dot(g1[lo:k], a_mean))
+            # g1^2 is a function of g1, so equal (g1, g2) pairs are equal triples
+            if k >= lags and new_a == a and new_b == b:
+                if k - max(_run_start(g1, k, new_a), _run_start(g2, k, new_b)) >= lags:
+                    g1[k:], g1sq[k:], g2[k:] = new_a, new_a * new_a, new_b
+                    break
+            a, b = new_a, new_b
+            out1[k] = a
+            out1sq[k] = a * a
+            out2[k] = b
+        return g1, g1sq, g2
 
     def history_sums(self, u: np.ndarray) -> np.ndarray:
         """One direct convolution of u with the listed coefficients: O(n L) for L lags, exact zeros kept."""

@@ -143,21 +143,32 @@ def _dp_states(m: InarModel, n: int):
                 conv_cache[key] = np.convolve(iid_sum_pmf(lag_idx, count - 1), base_pmfs[lag_idx])
         return conv_cache[key]
 
-    # DP over (history tuple of last-window counts, running sum) -> probability.
-    states = {((), 0): 1.0}
-    for t in range(n):
-        w = min(t, window)
-        acc = defaultdict(list)
-        for (hist, s), p in states.items():
+    outcome_cache: dict = {}
+
+    def step_outcomes(hist: tuple) -> list:
+        """(next history, count, probability > 0) for each count a step can take after `hist`.
+
+        The step's law depends on the history alone, so each history's list is built once.
+        """
+        if hist not in outcome_cache:
             step_pmf = imm_pmf
-            for k in range(1, w + 1):
-                cnt = hist[-k]
+            for k, cnt in enumerate(reversed(hist), start=1):
                 if cnt:
                     step_pmf = np.convolve(step_pmf, iid_sum_pmf(k - 1, cnt))
-            for v, q in enumerate(step_pmf):
-                if q > 0.0:
-                    new_hist = (hist + (v,))[-window:] if window else ()
-                    acc[(new_hist, s + v)].append(p * q)
+            outcome_cache[hist] = [
+                ((hist + (v,))[-window:] if window else (), v, q)
+                for v, q in enumerate(step_pmf.tolist())
+                if q > 0.0
+            ]
+        return outcome_cache[hist]
+
+    # DP over (history tuple of last-window counts, running sum) -> probability.
+    states = {((), 0): 1.0}
+    for _ in range(n):
+        acc = defaultdict(list)
+        for (hist, s), p in states.items():
+            for new_hist, v, q in step_outcomes(hist):
+                acc[(new_hist, s + v)].append(p * q)
         states = {key: math.fsum(vals) for key, vals in acc.items()}
         yield states
 

@@ -9,6 +9,9 @@ from inarlim import (
     ExplicitOffspring,
     InarModel,
     InsufficientTailMass,
+    Poisson,
+    PoissonOffspring,
+    PowerLawDecay,
     clt_variance,
     lln_mean,
     validate_cesaro,
@@ -19,6 +22,7 @@ from inarlim import (
     validate_oracle,
 )
 from inarlim.asymptotics import mdp_rate
+from inarlim.model import hurwitz_zeta
 from inarlim.montecarlo import predicted_tail_probability
 
 SEED = 11
@@ -124,6 +128,14 @@ def test_cesaro_check_passes_at_long_horizons_and_fails_at_short_ones(bernoulli_
     assert (report.n, report.reps, report.seed) == (30_000, 0, 0)
     assert max(report.statistics["relative_errors"]) < report.targets["relative_tolerance"]
     assert not validate_cesaro(bernoulli_ar1, 20).passed
+
+
+@pytest.mark.parametrize("a", [1.6, 2.0, 3.0])
+def test_cesaro_check_passes_on_power_laws_at_1e5(a):
+    # the heavier the tail, the slower the Cesaro means converge: a = 1.6 is the slowest
+    m = InarModel(Poisson(1.0), PoissonOffspring(PowerLawDecay(c=0.3 / hurwitz_zeta(a, 1.0), a=a)))
+    report = validate_cesaro(m, 10**5)
+    assert report.passed, report.statistics["relative_errors"]
 
 
 @pytest.mark.parametrize("name", ["bernoulli_ar1", "finite_mix"])

@@ -29,6 +29,7 @@ from inarlim import (
     tilt_fixed_point,
     tilt_recursion,
 )
+from inarlim.model import hurwitz_zeta
 from tilt_reference import tilt_recursion_reference
 
 THETAS = (-1.0, -0.3, 0.0, 0.4, math.log(2))
@@ -189,6 +190,15 @@ def test_cesaro_limits(bernoulli_ar1, hawkes):
     assert (chk.g1_limit, chk.g1_sq_limit, chk.g2_limit) == (2.0, 4.0, 2.0)
     for empirical, limit in chk.pairs():
         assert empirical == pytest.approx(limit, rel=1e-3)
+
+
+@pytest.mark.parametrize("mass", [0.05, 0.3, 0.9])
+@pytest.mark.parametrize("a", [1.6, 3.0, 6.0, 12.0])
+def test_power_law_tables_keep_their_bounds_at_1e5(mass, a):
+    # the FFT series carry each entry's rounding from its table's largest entry;
+    # gbar_tables raises if that takes any entry past BOUND_ROUNDING_ULPS
+    m = InarModel(Poisson(1.0), PoissonOffspring(PowerLawDecay(c=mass / hurwitz_zeta(a, 1.0), a=a)))
+    gbar_tables(m, 10**5)
 
 
 # g2 converges to its limit and passes it by one ulp through rounding alone

@@ -34,6 +34,17 @@ MODULES = ["inarlim"] + [
     ],
 )
 def test_example_script_runs(script, args):
+    assert _run_script(script, args)
+
+
+def test_recursion_timing_times_the_tables_at_their_own_horizons():
+    out = _run_script("recursion_timing.py", ["--horizons", "5", "--table-horizons", "7,30", "--repeats", "1"])
+    cells = out.splitlines()[0].strip("| ").split(" | ")
+    assert cells == ["kernel", "tilt n = 5 (ms)", "tables n = 7 (ms)", "tables n = 30 (ms)"]
+
+
+def _run_script(script, args) -> str:
+    """The script's standard output, once it has exited with status 0."""
     src = str(Path(inarlim.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
@@ -43,7 +54,7 @@ def test_example_script_runs(script, args):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    return result.stdout.strip()
 
 
 @pytest.mark.parametrize("name", MODULES)
