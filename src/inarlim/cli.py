@@ -204,7 +204,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"seed: {seed} (drawn from system entropy)", file=sys.stderr)
 
     reports = [CHECKS[name](args, seed) for name in checks]
-    payloads = [_jsonable(asdict(rep)) for rep in reports]
+    if args.out is not None or args.fmt == "json":
+        payloads = [_jsonable(asdict(rep)) for rep in reports]
     if args.out is not None:
         for rep, payload in zip(reports, payloads):
             _write_text(f"{args.out}.{rep.theorem}.json", json.dumps(payload, indent=2) + "\n")

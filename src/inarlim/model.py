@@ -542,11 +542,13 @@ def _counts_from_tape(immigration: CountDistribution, tape_lags: tuple, n: int, 
     a Constant reads none, and its c parents add c * value.  Each block of
     uniforms becomes Python tables, the immigration's draws and the prefix
     sums of each other lag law's draws, so a lag's offspring sum is one
-    difference; unread uniforms carry over.  A step needing more than a
-    block reads its own uniforms, summed by numpy, and one past
-    ``_TAPE_STEP_MAX``, or any step of a list with a law past
-    ``_TAPE_VARIATE_MAX`` (``inverse_cdf_top``), draws each sum by
-    ``sample_sum``.  ``tape_lags`` is ``ExplicitOffspring._tape_lags``.
+    difference; unread uniforms carry over.  A list of one drawn lag (an
+    INAR(1)) keeps the last count in a local and reads the two tables
+    directly, with the same draws.  A step needing more than a block reads
+    its own uniforms, summed by numpy, and one past ``_TAPE_STEP_MAX``, or
+    any step of a list with a law past ``_TAPE_VARIATE_MAX``
+    (``inverse_cdf_top``), draws each sum by ``sample_sum``.
+    ``tape_lags`` is ``ExplicitOffspring._tape_lags``.
     """
     drawn, values, tape_laws, top = tape_lags
     lags, points, reads = len(drawn), not all(drawn), int(not isinstance(immigration, Constant))
@@ -554,8 +556,55 @@ def _counts_from_tape(immigration: CountDistribution, tape_lags: tuple, n: int, 
     if max(top, immigration.inverse_cdf_top() if reads else 0) > _TAPE_VARIATE_MAX:
         block = step_max = -1  # every step, even one reading no uniform, draws sum laws
     tape = np.empty(0)
-    pos = end = fixed = 0
+
+    def past_block(pos: int, end: int, counts, fixed: int, step: int) -> int:
+        """The count of a step that needs more than a block, from its own uniforms or the sum laws."""
+        need = reads + sum(counts)
+        if need > step_max:
+            total = immigration.sample_sum(gen, 1)
+            total += sum(law.sample_sum(gen, c) for law, c in zip(tape_laws, counts))
+        else:
+            u = np.concatenate((tape[pos:], gen.random(need - (end - pos))))
+            total, at = int(immigration.from_uniforms(u[0])), reads
+            for law, c in zip(tape_laws, counts):
+                total += int(law.from_uniforms(u[at : at + c]).sum())
+                at += c
+        total += fixed
+        if total > I64_MAX:
+            raise OverflowError(f"count at step {step} exceeds the 64-bit integer maximum")
+        return total
+
+    def refill(pos: int) -> tuple:
+        """A block after the unread uniforms from pos: its length, the immigration draws, the prefix sums."""
+        nonlocal tape
+        tape = np.concatenate((tape[pos:], gen.random(block)))
+        sums = []
+        for law in tape_laws:
+            prefix = np.zeros(len(tape) + 1, dtype=np.int64)
+            np.cumsum(law.from_uniforms(tape), out=prefix[1:])
+            sums.append(prefix.tolist())
+        return len(tape), immigration.from_uniforms(tape).tolist(), sums
+
+    pos = end = 0
     x = []
+    if lags == 1 and not points:
+        c = 0  # the last count
+        for _ in range(n):
+            need = reads + c
+            if pos + need >= end:  # so that imm[pos] is there when a step reads no uniform
+                if need > block:
+                    c = past_block(pos, end, x[-1:], 0, len(x) + 1)
+                    x.append(c)
+                    pos = end  # the block is read up, or dropped
+                    continue
+                end, imm, (prefix,) = refill(pos)
+                pos = 0
+            at = pos + reads
+            pos = at + c
+            c = imm[at - reads] + prefix[pos] - prefix[at]
+            x.append(c)
+        return np.array(x, dtype=np.int64)
+    fixed = 0
     for _ in range(n):
         counts = x[: -lags - 1 : -1]  # lag 1, lag 2, ...
         if points:  # Constant lags read no uniform: they add c * value, and drop out of the counts
@@ -563,31 +612,13 @@ def _counts_from_tape(immigration: CountDistribution, tape_lags: tuple, n: int, 
             if fixed > I64_MAX:
                 raise OverflowError(f"count at step {len(x) + 1} exceeds the 64-bit integer maximum")
         need = reads + sum(counts)
-        if pos + need >= end:  # so that imm[pos] is there when a step reads no uniform
+        if pos + need >= end:
             if need > block:
-                if need > step_max:
-                    total = immigration.sample_sum(gen, 1)
-                    total += sum(law.sample_sum(gen, c) for law, c in zip(tape_laws, counts))
-                else:
-                    u = np.concatenate((tape[pos:], gen.random(need - (end - pos))))
-                    total, at = int(immigration.from_uniforms(u[0])), reads
-                    for law, c in zip(tape_laws, counts):
-                        total += int(law.from_uniforms(u[at : at + c]).sum())
-                        at += c
-                total += fixed
-                if total > I64_MAX:
-                    raise OverflowError(f"count at step {len(x) + 1} exceeds the 64-bit integer maximum")
-                x.append(total)
-                pos = end  # the block is read up, or dropped
+                x.append(past_block(pos, end, counts, fixed, len(x) + 1))
+                pos = end
                 continue
-            tape = np.concatenate((tape[pos:], gen.random(block)))
-            pos, end = 0, len(tape)
-            imm = immigration.from_uniforms(tape).tolist()
-            sums = []
-            for law in tape_laws:
-                prefix = np.zeros(end + 1, dtype=np.int64)
-                np.cumsum(law.from_uniforms(tape), out=prefix[1:])
-                sums.append(prefix.tolist())
+            end, imm, sums = refill(pos)
+            pos = 0
         total = imm[pos] + fixed
         pos += reads
         for prefix, c in zip(sums, counts):
@@ -595,6 +626,16 @@ def _counts_from_tape(immigration: CountDistribution, tape_lags: tuple, n: int, 
             pos += c
         x.append(total)
     return np.array(x, dtype=np.int64)
+
+
+def _add_births(x: np.ndarray, at, counts: np.ndarray) -> None:
+    """x[at] += counts, where at indexes x; OverflowError where a count would pass the 64-bit maximum."""
+    past = x[at]
+    wrap = counts > I64_MAX - past
+    if wrap.any():
+        step = np.arange(x.size)[at][wrap.argmax()] + 1
+        raise OverflowError(f"count at step {step} exceeds the 64-bit integer maximum")
+    x[at] = past + counts
 
 
 def _fsum_or_inf(terms) -> float:
@@ -774,16 +815,19 @@ class PoissonOffspring(OffspringSequence):
     def sample_counts(self, immigration: CountDistribution, n: int, gen) -> np.ndarray:
         """Draw X_1..X_n one generation at a time (the cluster representation).
 
-        Generation 0 is the immigration, drawn in one call.  A parent time s
-        holding c individuals of one generation has Poisson(c A(h)) children
-        in the next, where h = n - 1 - s is the number of lags left and
-        A(h) = alpha_1 + ... + alpha_h.  Each child's lag is k <= h with
-        probability alpha_k / A(h), drawn by inverse CDF on the cumsum.
-        This is exact in law over the whole history, and there are at most
-        n generations.  A generation whose expected children exceed
-        ``_PER_CHILD_LIMIT`` per step is drawn by child time instead
-        (``_children_by_time``), so no generation holds more than O(n)
-        entries however large the counts grow.
+        Generation 0 is the immigration, drawn in one call and held as
+        (times, counts): a time s holding c individuals has Poisson(c A(h))
+        children, where h = n - 1 - s is the number of lags left and
+        A(h) = alpha_1 + ... + alpha_h.  Later generations are held child by
+        child, each child born at s having Poisson(A(h)) children, the same
+        law summed over the c children born at s.  Each child's lag is
+        k <= h with probability alpha_k / A(h), drawn by inverse CDF on the
+        cumsum, and births are tallied into the counts by ``np.bincount``
+        once about n of them wait.  This is exact in law over the whole
+        history, and there are at most n generations.  A generation whose
+        expected children exceed ``_PER_CHILD_LIMIT`` per step is drawn by
+        child time instead (``_children_by_time``), so no generation holds
+        more than O(n) entries however large the counts grow.
 
         A Poisson mean or a count past the 64-bit range raises OverflowError.
         """
@@ -792,26 +836,31 @@ class PoissonOffspring(OffspringSequence):
         np.cumsum(self.decay.coefficients(n - 1), out=cum[1:])
         mass_left = cum[::-1]  # mass_left[s] = A(n - 1 - s), the mass of the lags left after s
         times = np.flatnonzero(x[:-1])
-        counts = x[times]
+        counts = x[times]  # None while the generation is held child by child
+        waiting, held = [], 0
         while times.size:
             mass = mass_left[times]
-            lam = counts * mass
+            lam = mass if counts is None else counts * mass
             if lam.sum() > _PER_CHILD_LIMIT * n:
+                if counts is None:
+                    times, counts = np.unique(times, return_counts=True)
                 times, counts = self._children_by_time(times, counts, n, gen)
-            else:
-                kids = gen.poisson(lam)
-                births = np.repeat(times, kids)
-                u = gen.random(births.size) * np.repeat(mass, kids)
-                # the lag k with A(k - 1) <= u < A(k); u < 1 keeps u * A(h) below A(h), so k <= h
-                # (a child is only ever drawn where A(h) is a normal float)
-                births += np.searchsorted(cum, u, side="right")
-                times, counts = np.unique(births, return_counts=True)
-            past = x[times]
-            wrap = counts > I64_MAX - past
-            if wrap.any():
-                at = times[wrap.argmax()] + 1
-                raise OverflowError(f"count at step {at} exceeds the 64-bit integer maximum")
-            x[times] = past + counts
+                _add_births(x, times, counts)
+                continue
+            kids = gen.poisson(lam)
+            times = np.repeat(times, kids)
+            u = gen.random(times.size) * np.repeat(mass, kids)
+            # the lag k with A(k - 1) <= u < A(k); u < 1 keeps u * A(h) below A(h), so k <= h
+            # (a child is only ever drawn where A(h) is a normal float)
+            times += np.searchsorted(cum, u, side="right")
+            counts = None
+            waiting.append(times)
+            held += times.size
+            if held >= n:
+                _add_births(x, slice(None), np.bincount(np.concatenate(waiting), minlength=n))
+                waiting, held = [], 0
+        if held:
+            _add_births(x, slice(None), np.bincount(np.concatenate(waiting), minlength=n))
         return x
 
     def _children_by_time(self, times: np.ndarray, counts: np.ndarray, n: int, gen) -> tuple:

@@ -9,21 +9,27 @@ counts.  No lag is dropped.  The offspring sequence draws the counts
   and then each lag's offspring sum in lag order; every variate is one
   uniform from a tape, drawn in blocks, put through the law's inverse
   CDF, so each step costs a few table lookups, and a Constant reads
-  none; a step that would read more than 2**20 uniforms, or any step of
-  a list with a law whose variates may pass 2**16, draws each lag's sum
-  from the sum's own law;
+  none; a list of one drawn lag (an INAR(1)) runs the same steps in a
+  tight loop; a step that would read more than 2**20 uniforms, or any
+  step of a list with a law whose variates may pass 2**16, draws each
+  lag's sum from the sum's own law;
 * a Poisson family draws all the immigration in one call and then one
-  generation at a time: each parent time's children within the horizon,
-  then each child's lag by inverse CDF on the cumulative lag means.
+  generation at a time: each immigrant time's children within the
+  horizon, and after that each child's own children, then each child's
+  lag by inverse CDF on the cumulative lag means; a generation with many
+  expected children is drawn by child time instead.
 
 Reproducibility contract: a ``RandomStream`` is an immutable descriptor
 (seed, stream index); the same descriptor always reproduces the same
 trajectory within one released version.  Batch replication r uses stream
-index r, so replications are independent and order-insensitive.  Lag
-lists of Bernoulli, finite-support and Constant laws draw the numbers of
-the per-step loop of earlier versions; other lag lists (since every law reads
-the tape) and Poisson families (since the generation sampler) draw other
-numbers from the same law.  The generator's state after the draws is not
+index r, so replications are independent and order-insensitive.  Every
+lag list draws, bit for bit, what it drew at the previous version, the
+one-lag loop included; those of Bernoulli, finite-support and Constant
+laws still draw the numbers of the per-step loop of earlier versions,
+and other lag lists (since every law reads the tape) other numbers from
+the same law.  Poisson families draw new numbers from the same law at
+this version, since later generations are drawn child by child.  The
+generator's state after the draws is not
 part of the contract: the tape draws uniforms it may leave unread, and
 ``simulate`` discards the generator.
 """

@@ -113,6 +113,13 @@ def _reads_old_draws(m: InarModel) -> bool:
     n=15,
     seed=0,
 )
+# Constant immigration and one drawn lag: the one-lag loop reads no uniform for the immigration,
+# across a block refill and then in steps past a block
+@example(
+    m=InarModel(Constant(1), ExplicitOffspring((FiniteSupport((0.1, 0.2, 0.7)),))),
+    n=15,
+    seed=0,
+)
 @example(m=InarModel(Bernoulli(0.5), ExplicitOffspring((Bernoulli(0.4),))), n=1, seed=0)
 @example(m=InarModel(Bernoulli(0.5), ExplicitOffspring((Bernoulli(0.35), Bernoulli(0.25)))), n=2, seed=0)
 def test_lag_lists_draw_the_reference_numbers_bitwise(m, n, seed):
@@ -186,8 +193,16 @@ def test_other_lag_lists_match_the_reference_in_law(m, n):
     _assert_exact_moments(ours, lasts, m, n)
 
 
+# mass 0.95 with Poisson(10) immigration: the first generations go by child time, later ones child by
+# child, and now and then one of those is followed by one by child time again
+NEAR_CRITICAL_FAMILY = InarModel(Poisson(10.0), PoissonOffspring(GeometricDecay(c=0.475, r=0.5)))
+HAWKES = InarModel(Poisson(1.0), PoissonOffspring(GeometricDecay(c=0.25, r=0.5)))
+
+
 @settings(max_examples=30, derandomize=True)
 @given(m=poisson_family_models(), n=st.integers(2, 120))
+@example(m=NEAR_CRITICAL_FAMILY, n=120)
+@example(m=HAWKES, n=2)
 def test_poisson_families_match_the_reference_in_law(m, n):
     reps = 400
     ours = _sums_and_lasts(simulate, m, n, reps, 1)[0]
@@ -197,6 +212,8 @@ def test_poisson_families_match_the_reference_in_law(m, n):
 
 @settings(max_examples=30, derandomize=True)
 @given(m=poisson_family_models(), n=st.integers(1, 300))
+@example(m=NEAR_CRITICAL_FAMILY, n=120)
+@example(m=HAWKES, n=2)
 def test_poisson_families_have_the_exact_mean_and_variance(m, n):
     reps = 1000
     _assert_exact_moments(*_sums_and_lasts(simulate, m, n, reps, 3), m, n)
