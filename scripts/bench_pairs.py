@@ -16,7 +16,10 @@ both sides alike.  The output file holds the two shas, the versions and
 end-to-end metrics, and per workload and metric the median and IQR of each
 side and the number of pairs the change won.  A run that starts with a
 one-minute load above nproc / 2 is flagged ``busy``: its timings are
-suspect.  The better direction of each metric comes from BENCHMARK.json.
+suspect.  A finished run leaves its own worker in that average, about 1,
+so each run first waits up to ``SETTLE_S`` seconds for the load to fall to
+nproc / 2; a flag then means that something else kept the host busy.  The
+better direction of each metric comes from BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SETTLE_S = 60.0
 
 
 def parse_run(stdout: str) -> dict:
@@ -94,7 +99,15 @@ def _sha(rev: str) -> str:
     ).stdout.strip()
 
 
+def _settle() -> None:
+    """Wait, up to SETTLE_S seconds, until the one-minute load is at most half the usable cores."""
+    limit, deadline = len(os.sched_getaffinity(0)) / 2, time.monotonic() + SETTLE_S
+    while os.getloadavg()[0] > limit and time.monotonic() < deadline:
+        time.sleep(1.0)
+
+
 def _run_bench(sha: str, workload: str, seed: int, seconds: float) -> dict:
+    _settle()
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, capture_output=True).stdout
         subprocess.run(["tar", "x", "-C", tmp], input=archive, check=True)
