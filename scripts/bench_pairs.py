@@ -4,22 +4,24 @@
 Run from the root of a checkout, naming the two commits to compare:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
-        --workload mc_battery --seed 5 --pairs 10 --out BENCH_k.json
+        --workload mc_battery --seed 5 --out BENCH_k.json
 
 Each run gets a clean copy of its commit (``git archive`` into a fresh
-temporary directory, so no bytecode or build output carries over) and runs
-``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` there,
-with ``PYTHONDONTWRITEBYTECODE=1``.  Pair i runs the parent first when i is
-even and the change first when i is odd, so slow drift of the host hits
-both sides alike.  The output file holds the two shas, the versions and
-``nproc`` from the bench's provenance, each run's ``loadavg_at_start`` and
-end-to-end metrics, and per workload and metric the median and IQR of each
-side and the number of pairs the change won.  A run that starts with a
-one-minute load above nproc / 2 is flagged ``busy``: its timings are
-suspect.  A finished run leaves its own worker in that average, about 1,
-so each run first waits up to ``SETTLE_S`` seconds for the load to fall to
-nproc / 2; a flag then means that something else kept the host busy.  The
-better direction of each metric comes from BENCHMARK.json.
+temporary directory, so no bytecode or build output carries over) and
+runs ``python3 bench/run.py --workload W --seed S --seconds T --trace 0``
+there, with ``PYTHONDONTWRITEBYTECODE=1`` and T the ``run_seconds`` of
+BENCHMARK.json.  Each workload gets ``PAIRS`` pairs: pair i runs the
+parent first when i is even and the change first when i is odd, so slow
+drift of the host hits both sides alike.  The output file holds the two
+shas, the versions and ``nproc`` from the bench's provenance, each run's
+``loadavg_at_start`` and end-to-end metrics, and per workload and metric
+the median and IQR of each side and the number of pairs the change won.  A
+run that starts with a one-minute load above nproc / 2 is flagged
+``busy``: its timings are suspect.  A finished run leaves its own worker
+in that average, about 1, so each run first waits up to ``SETTLE_S``
+seconds for the load to fall to nproc / 2; a flag then means that
+something else kept the host busy.  The better direction of each metric
+comes from BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SETTLE_S = 60.0
+PAIRS = 10
 
 
 def parse_run(stdout: str) -> dict:
@@ -126,8 +129,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default="HEAD", help="commit under test")
     parser.add_argument("--workload", action="append", help="may repeat; default every workload")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
@@ -135,16 +136,17 @@ def main(argv=None) -> int:
         declared = json.load(fh)
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     workloads = args.workload or [w["name"] for w in declared["workloads"]]
+    seconds = declared["run_seconds"]
     shas = {"parent": _sha(args.parent), "change": _sha(args.change)}
     report = {**{f"{side}_sha": sha for side, sha in shas.items()}, "seed": args.seed,
-              "seconds": args.seconds, "workloads": {}}
+              "seconds": seconds, "workloads": {}}
     for workload in workloads:
         runs, pairs = [], []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {}
             for side in order:
-                run = _run_bench(shas[side], workload, args.seed, args.seconds)
+                run = _run_bench(shas[side], workload, args.seed, seconds)
                 prov = run["provenance"]
                 report.setdefault("versions", prov.get("versions"))
                 report.setdefault("nproc", prov.get("nproc"))

@@ -130,6 +130,36 @@ def test_lag_lists_draw_the_reference_numbers_bitwise(m, n, seed):
 
 
 @st.composite
+def one_lag_models(draw):
+    """One lag of any kind, mean 0.05-0.95, and immigration of any kind or Constant(0), (1) or (2)."""
+    lag = draw(count_laws(draw(st.floats(0.05, 0.95))))
+    immigration = st.floats(0.01, 0.95).flatmap(count_laws)
+    return InarModel(draw(st.one_of(immigration, st.integers(0, 2).map(Constant))), ExplicitOffspring((lag,)))
+
+
+def _with_point_lag(m: InarModel) -> InarModel:
+    """The same list with a Constant(0) lag 2: drawn by the general tape loop, from the same uniforms."""
+    return InarModel(m.immigration, ExplicitOffspring((*m.offspring.laws, Constant(0))))
+
+
+@settings(max_examples=60)
+@given(m=one_lag_models(), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+# mean 0.9 at lag 1: over 2,000 uniforms a path, across several block refills
+@example(m=InarModel(Poisson(0.5), ExplicitOffspring((Poisson(0.9),))), n=300, seed=0)
+@example(m=InarModel(Geometric(0.6), ExplicitOffspring((Geometric(1.0 / 1.9),))), n=300, seed=1)
+@example(m=InarModel(Binomial(3, 0.3), ExplicitOffspring((Binomial(2, 0.45),))), n=300, seed=2)
+# supercritical (mean 1.6 to 2): late steps each need more than a block
+@example(m=InarModel(Poisson(1.0), ExplicitOffspring((Poisson(1.6),))), n=15, seed=0)
+@example(m=InarModel(Geometric(0.5), ExplicitOffspring((Geometric(1.0 / 2.6),))), n=15, seed=0)
+@example(m=InarModel(Constant(1), ExplicitOffspring((Binomial(3, 2.0 / 3.0),))), n=15, seed=0)
+def test_one_lag_loop_draws_the_general_loops_numbers_bitwise(m, n, seed):
+    general = _with_point_lag(m)
+    for r in range(3):
+        stream = RandomStream(seed=seed, stream=r)
+        assert np.array_equal(simulate(m, n, stream).counts, simulate(general, n, stream).counts)
+
+
+@st.composite
 def poisson_family_models(draw):
     """Geometric (r <= 0.9), power-law (a in [1.6, 6]) or finite decays with mass at most 0.8.
 
