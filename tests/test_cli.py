@@ -246,6 +246,33 @@ def test_validate_cesaro_oracle_outputs_pinned(b1_path, tmp_path, capsys):
         assert _without_runtime((tmp_path / name).read_text()) == (golden / name).read_text(), name
 
 
+# Models of the pinned ``theory`` output: theta_c attained, not attained, a power law, and
+# no offspring at all (theta_c infinite)
+THEORY_SPECS = {
+    "hawkes": H1_SPEC,
+    "ar1": B1_SPEC,
+    "power_law": {
+        "immigration": {"type": "poisson", "lambda": 1.0},
+        "offspring": {"type": "poisson_family", "decay": {"type": "power_law", "c": 0.3, "a": 2.0}},
+    },
+    "poisson_immigration": {
+        "immigration": {"type": "poisson", "lambda": 1.0},
+        "offspring": {"type": "explicit", "laws": []},
+    },
+}
+
+
+@pytest.mark.parametrize("name", THEORY_SPECS)
+def test_theory_outputs_pinned(name, tmp_path, capsys):
+    """The ``theory`` command's standard output on its default grid, byte for byte."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(THEORY_SPECS[name]))
+    assert main(["theory", "--model", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / "theory" / f"{name}.json").read_text()
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
