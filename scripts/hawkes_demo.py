@@ -16,6 +16,7 @@ from inarlim import (
     Poisson,
     PoissonOffspring,
     RandomStream,
+    ldp_rate,
     limit_cgf,
     log_mgf_exact,
     simulate_batch,
@@ -49,7 +50,7 @@ def main():
     print(f"\nscaled log-MGF at theta={theta:.4f}")
     print(f"exact (n={args.n})   = {exact:.6f}")
     print(f"limit               = {limit_cgf(model, theta):.6f}")
-    print(f"rate at mean + 10%  = {summary.ldp_rate(1.1 * summary.mu):.6f}")
+    print(f"rate at mean + 10%  = {ldp_rate(model, 1.1 * summary.mu):.6f}")
 
 
 if __name__ == "__main__":

@@ -300,9 +300,8 @@ def inar1_ldp_rate(eps: CountDistribution, xi1: CountDistribution, x: float) -> 
 
 @dataclass(frozen=True)
 class TheorySummary:
-    """Asymptotic constants for one model, with rate-function evaluators."""
+    """Asymptotic constants of one model; the rate functions take the model (``ldp_rate``)."""
 
-    model: InarModel
     mu: float
     sigma2: float
     theta_c: float
@@ -310,27 +309,11 @@ class TheorySummary:
     offspring_mean_l1: float
     offspring_var_l1: float
 
-    def tilt_gap(self, x: float) -> float:
-        return tilt_gap(self.model, x)
-
-    def tilt_fixed_point(self, theta: float) -> float:
-        return tilt_fixed_point(self.model, theta)
-
-    def limit_cgf(self, theta: float) -> float:
-        return limit_cgf(self.model, theta)
-
-    def ldp_rate(self, x: float) -> float:
-        return ldp_rate(self.model, x)
-
-    def mdp_rate(self, x: float) -> float:
-        return quadratic_rate(x, self.sigma2)
-
 
 def theory_summary(m: InarModel) -> TheorySummary:
     report = require_assumptions(m, labels=("a", "c"))
     ct = _critical_tilt(m)
     return TheorySummary(
-        model=m,
         mu=report.mu,
         sigma2=report.sigma2,
         theta_c=ct.value,

@@ -21,7 +21,7 @@ import secrets
 import sys
 from dataclasses import asdict
 
-from .asymptotics import critical_tilt, theory_summary
+from .asymptotics import critical_tilt, ldp_rate, quadratic_rate, theory_summary
 from .errors import AssumptionViolation, ConfigError, EnumerationError
 from .model import InarModel, model_from_spec, require_assumptions
 from .montecarlo import (
@@ -125,15 +125,9 @@ def cmd_theory(args: argparse.Namespace) -> int:
         mu = summary.mu
         base = mu if mu > 0 else 1.0
         x_grid = tuple(base * frac for frac in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0))
-    payload = {
-        "mu": summary.mu,
-        "sigma2": summary.sigma2,
-        "theta_c": summary.theta_c,
-        "theta_c_attained": summary.theta_c_attained,
-        "offspring_mean_l1": summary.offspring_mean_l1,
-        "offspring_var_l1": summary.offspring_var_l1,
-        "I": [{"x": x, "value": summary.ldp_rate(x)} for x in x_grid],
-        "J": [{"x": x, "value": summary.mdp_rate(x)} for x in x_grid],
+    payload = asdict(summary) | {
+        "I": [{"x": x, "value": ldp_rate(args.model, x)} for x in x_grid],
+        "J": [{"x": x, "value": quadratic_rate(x, summary.sigma2)} for x in x_grid],
     }
     _write_text(args.out, json.dumps(_jsonable(payload), indent=2) + "\n")
     return EXIT_OK

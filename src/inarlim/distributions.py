@@ -71,6 +71,19 @@ def _log_sum_exp_kept(x: np.ndarray, w: np.ndarray) -> float:
     return top + math.log(float(np.dot(w, np.exp(x - top))))
 
 
+def exact_sum(terms, sign: float) -> float:
+    """The exactly rounded sum of the terms (``math.fsum``), or inf signed as ``sign`` on overflow.
+
+    ``fsum`` gives +inf itself when a term is +inf.  Every caller's terms
+    share the sign of ``sign`` (log-MGFs at one finite tilt, or their
+    slopes), so no sum mixes +inf and -inf, and an overflow has that sign.
+    """
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.copysign(math.inf, sign)
+
+
 def _check_prob(p: float, name: str = "p") -> None:
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"{name} must be a probability in [0, 1], got {p}")

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import I64_MAX, POISSON_MEAN_MAX, Constant, CountDistribution, Poisson
+from .distributions import I64_MAX, POISSON_MEAN_MAX, Constant, CountDistribution, Poisson, exact_sum
 from .errors import AssumptionViolation, ConfigError
 from .spec import Spec, from_spec
 
@@ -75,7 +75,6 @@ _ZETA_EM_DIVISORS = (
 _MACHEP = 1.11022302462515654042e-16
 
 
-@functools.lru_cache(maxsize=1024)
 def hurwitz_zeta(x: float, q: float) -> float:
     """sum over k >= 0 of (k + q)**(-x), for x > 1 and q >= 1.
 
@@ -83,8 +82,7 @@ def hurwitz_zeta(x: float, q: float) -> float:
     bitwise: a two-term asymptotic expansion for q > 1e8; otherwise at
     least nine direct terms, continued past k + q = 9, then up to 12
     Euler-Maclaurin corrections; either stage stops once a term falls
-    below machine precision relative to the sum.  Memoized: a power law's
-    total recurs on every CGF evaluation.
+    below machine precision relative to the sum.
     """
     if q > 1e8:
         return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * q ** (1.0 - x)
@@ -638,16 +636,6 @@ def _add_births(x: np.ndarray, at, counts: np.ndarray) -> None:
     x[at] = past + counts
 
 
-def _fsum_or_inf(terms) -> float:
-    """Exact sum of the terms, or +inf as soon as one of them is +inf."""
-    kept = []
-    for t in terms:
-        if t == math.inf:
-            return math.inf
-        kept.append(t)
-    return math.fsum(kept)
-
-
 class OffspringSequence(Spec, family="offspring"):
     """Base class of the offspring sequences: the lag means and variances as decay laws.
 
@@ -693,10 +681,10 @@ class ExplicitOffspring(OffspringSequence):
 
     def cgf(self, x: float) -> float:
         """sum_k log E[exp(x xi_k)]; +inf past the domain."""
-        return _fsum_or_inf(law.log_mgf(x) for law in self.laws)
+        return exact_sum((law.log_mgf(x) for law in self.laws), x)
 
     def cgf_prime(self, x: float) -> float:
-        return _fsum_or_inf(law.log_mgf_prime(x) for law in self.laws)
+        return exact_sum((law.log_mgf_prime(x) for law in self.laws), 1.0)
 
     def domain_sup(self) -> float:
         """Supremum of the tilts where every lag's log-MGF is finite."""
@@ -726,11 +714,11 @@ class ExplicitOffspring(OffspringSequence):
         isfinite, inf = math.isfinite, math.inf
         f[0] = last = theta
         if lags == 1:
-            # same bits as the loop below (its sum starts at 0.0); the loop's
-            # deque and zip cost an AR(1) about a third of its time
+            # same bits as the loop below, whose sum starts at 0.0 (so a -0.0 log-MGF
+            # adds +0.0); the loop's deque and zip cost an AR(1) about a third of its time
             (only,) = log_mgfs
             for k in range(1, n):
-                prev, last = last, theta + only(last)
+                prev, last = last, theta + (0.0 + only(last))
                 if last == prev and _same(last, prev):
                     f[k:] = last
                     return n, k - 1  # f[k - 2] differs, or the loop had stopped a step earlier
@@ -803,10 +791,10 @@ class PoissonOffspring(OffspringSequence):
         return math.inf
 
     def support_total(self) -> float:
-        return 0.0 if self.decay.total() == 0.0 else math.inf
+        return 0.0 if self._total_law.lam == 0.0 else math.inf
 
     def log_no_offspring(self) -> float:
-        return -self.decay.total()
+        return -self._total_law.lam
 
     def tilts(self, theta: float, f: np.ndarray) -> tuple:
         """The decay law's loop: sum_i alpha_i expm1(f_{k-i}) is sum_i log E[exp(f_{k-i} xi_i)]."""

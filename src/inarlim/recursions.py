@@ -35,6 +35,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from .distributions import exact_sum
 from .errors import ConfigError
 from .model import InarModel, require_assumptions
 
@@ -93,18 +94,9 @@ def tilt_recursion(m: InarModel, theta: float, n: int) -> MgfRecursion:
         return MgfRecursion(theta, f[:k].copy(), math.inf, k + 1, None)
     log_mgf, tilts = m.immigration.log_mgf, memoryview(f)  # item access in Python floats
     if settled is None:
-        return MgfRecursion(theta, f, _total(map(log_mgf, tilts), theta), None, None)
+        return MgfRecursion(theta, f, exact_sum(map(log_mgf, tilts), theta), None, None)
     terms = chain(map(log_mgf, tilts[:settled]), repeat(log_mgf(tilts[settled]), n - settled))
-    return MgfRecursion(theta, f, _total(terms, theta), None, settled + 1)
-
-
-def _total(terms, theta: float) -> float:
-    """The exactly rounded sum of the immigration log-MGFs; +inf as soon as one term is."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        # a partial sum passed the largest float; every term has the sign of the tilt
-        return math.copysign(math.inf, theta)
+    return MgfRecursion(theta, f, exact_sum(terms, theta), None, settled + 1)
 
 
 def log_mgf_exact(m: InarModel, theta: float, n: int) -> float:
@@ -127,7 +119,7 @@ def log_mgf_by_horizon(m: InarModel, theta: float, n: int) -> list:
         return [0.0] * n
     rec = tilt_recursion(m, theta, n)
     terms = [m.immigration.log_mgf(f) for f in rec.values.tolist()]
-    finite = [_total(terms[:k], theta) for k in range(1, len(terms) + 1)]
+    finite = [exact_sum(terms[:k], theta) for k in range(1, len(terms) + 1)]
     return finite + [math.inf] * (n - len(terms))
 
 

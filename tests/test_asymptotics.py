@@ -229,9 +229,9 @@ def test_theory_summary(hawkes):
     assert summary.theta_c_attained
     assert summary.offspring_mean_l1 == pytest.approx(0.5)
     assert summary.offspring_var_l1 == pytest.approx(0.5)
-    assert summary.mdp_rate(1.0) == pytest.approx(0.0625)
-    assert summary.ldp_rate(2.0) == 0.0
-    assert summary.tilt_gap(0.0) == 0.0
+    assert mdp_rate(hawkes, 1.0) == pytest.approx(0.0625)
+    assert ldp_rate(hawkes, 2.0) == 0.0
+    assert tilt_gap(hawkes, 0.0) == 0.0
 
 
 def test_theory_summary_and_ldp_rate_check_the_assumptions_once(hawkes, monkeypatch):
@@ -243,6 +243,17 @@ def test_theory_summary_and_ldp_rate_check_the_assumptions_once(hawkes, monkeypa
     assert len(calls) == 1
     ldp_rate(hawkes, 3.0)
     assert len(calls) == 2
+
+
+def test_offspring_sums_past_the_largest_float_are_infinite():
+    # each lag's log-MGF at 1 is 1.72e308, finite, but the two sum past the largest float
+    m = InarModel(Poisson(1.0), ExplicitOffspring((Poisson(1e308), Poisson(1e308))))
+    assert m.offspring.cgf(1.0) == math.inf
+    assert m.offspring.cgf_prime(1.0) == math.inf
+    assert tilt_gap(m, 1.0) == -math.inf
+    assert m.offspring.cgf(-1.0) == 2.0 * (1e308 * math.expm1(-1.0))
+    assert m.offspring.cgf_prime(-1.0) == 2.0 * (1e308 * math.exp(-1.0))
+    assert tilt_gap(m, -1.0) == -1.0 - m.offspring.cgf(-1.0)
 
 
 def test_supercritical_models_raise_through_the_assumption_check():

@@ -65,7 +65,7 @@ def decays(draw):
         a = draw(st.floats(1.6, 6.0))
         return PowerLawDecay(c=mass / float(zeta(a, 1)), a=a)
     weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(any))
-    return FiniteDecay(tuple(mass * w / sum(weights) for w in weights))
+    return FiniteDecay(tuple(mass * (w / sum(weights)) for w in weights))
 
 
 @settings(max_examples=60)
@@ -118,7 +118,7 @@ def finite_list_models(draw):
     """Poisson families over 1 to 6 listed lags of total mass in [0.05, 0.9]."""
     mass = draw(st.floats(0.05, 0.9))
     weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(any))
-    return _poisson_family(FiniteDecay(tuple(mass * w / sum(weights) for w in weights)))
+    return _poisson_family(FiniteDecay(tuple(mass * (w / sum(weights)) for w in weights)))
 
 
 def _power_law_family(mass, a):

@@ -8,6 +8,7 @@ tracing wrappers that walk ``__all__``) may look up on it.
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,26 @@ def test_recursion_timing_times_the_tables_at_their_own_horizons():
     out = _run_script("recursion_timing.py", ["--horizons", "5", "--table-horizons", "7,30", "--repeats", "1"])
     cells = out.splitlines()[0].strip("| ").split(" | ")
     assert cells == ["kernel", "tilt n = 5 (ms)", "tables n = 7 (ms)", "tables n = 30 (ms)"]
+
+
+def test_output_fingerprint_lists_the_records_that_differ(tmp_path):
+    out = _run_script("output_fingerprint.py", [])
+    lines = out.splitlines()
+    names = [line.split(" ")[0] for line in lines]
+    assert len(set(names)) == len(lines) > 10_000
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+    assert "hawkes/cli_theory" in names and "p11_power_law4/tilt_recursion/theta=-0.0/n=300" in names
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    first.write_text(out + "\n")
+    lines[7] = lines[7].split(" ")[0] + " " + "0" * 64
+    second.write_text("\n".join(lines) + "\n")
+    script = str(ROOT / "scripts" / "output_fingerprint.py")
+    same = subprocess.run([sys.executable, script, "--diff", str(first), str(first)],
+                          capture_output=True, text=True, timeout=60)
+    assert (same.returncode, same.stdout) == (0, "")
+    differ = subprocess.run([sys.executable, script, "--diff", str(first), str(second)],
+                            capture_output=True, text=True, timeout=60)
+    assert (differ.returncode, differ.stdout) == (1, names[7] + "\n")
 
 
 def _run_script(script, args) -> str:

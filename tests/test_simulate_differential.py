@@ -176,7 +176,7 @@ def poisson_family_models(draw):
         decay = PowerLawDecay(c=mass / float(zeta(a, 1)), a=a)
     else:
         weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(any))
-        decay = FiniteDecay(tuple(mass * w / sum(weights) for w in weights))
+        decay = FiniteDecay(tuple(mass * (w / sum(weights)) for w in weights))
     imm = draw(
         st.one_of(
             st.floats(0.1, 0.9).map(Bernoulli),

@@ -84,7 +84,7 @@ def windowed_models(draw):
         decay = PowerLawDecay(c=mass / float(zeta(a, 1)), a=a)
     else:
         weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(any))
-        decay = FiniteDecay(tuple(mass * w / sum(weights) for w in weights))
+        decay = FiniteDecay(tuple(mass * (w / sum(weights)) for w in weights))
     return InarModel(draw(immigration), PoissonOffspring(decay))
 
 
@@ -126,6 +126,30 @@ def _same_as_reference(m, theta, n):
 @example(m=ZERO_FIRST_LAG_LIST, frac=0.5, n=2000)
 def test_explicit_laws_match_the_reference_bitwise(m, frac, n):
     _same_as_reference(m, frac * critical_tilt(m)[0], n)
+
+
+# one law of each kind the lag lists draw, each of mean 0.4
+ONE_LAG_LAWS = [Bernoulli(0.4), Binomial(2, 0.2), Poisson(0.4), Geometric(1.0 / 1.4),
+                FiniteSupport((0.7, 0.2, 0.1)), Constant(0)]
+
+
+@pytest.mark.parametrize("law", ONE_LAG_LAWS, ids=lambda law: type(law).__name__)
+def test_one_lag_loop_keeps_the_general_loops_bits(law):
+    """A one-lag list's tilts and total, bytes and signed zeros included, equal its twin's.
+
+    The twin adds a Constant(0) lag 2, so it runs the general loop.
+    ``np.array_equal`` counts -0.0 equal to 0.0, so the bytes are compared:
+    at a tilt of -0.0 a Bernoulli, Binomial or Poisson log-MGF is -0.0.
+    """
+    one = InarModel(Bernoulli(0.5), ExplicitOffspring((law,)))
+    twin = InarModel(Bernoulli(0.5), ExplicitOffspring((law, Constant(0))))
+    tc, _ = critical_tilt(one)
+    half = 0.5 * tc if math.isfinite(tc) else 0.5
+    for theta in (-0.0, 0.0, half, -half):
+        for n in (1, 2, 300):
+            rec, ref = tilt_recursion(one, theta, n), tilt_recursion(twin, theta, n)
+            assert rec.values.tobytes() == ref.values.tobytes(), (theta, n)
+            assert repr(rec.log_mgf_total) == repr(ref.log_mgf_total), (theta, n)
 
 
 @settings(max_examples=25)
