@@ -169,6 +169,8 @@ def critical_tilt(m: InarModel) -> tuple:
 
 def tilt_fixed_point(m: InarModel, theta: float) -> float:
     """Smaller root of F(x) = theta, for theta up to the critical tilt."""
+    if math.isnan(theta):
+        raise ValueError("no fixed point: the tilt is NaN")
     if theta == 0.0:
         return 0.0
     ct = _critical_tilt(m)
@@ -242,6 +244,8 @@ def _legendre_at_fixed_point(m: InarModel, x: float, f_max: float) -> float:
     maximizer.  When the slope keeps its sign up to the boundary, the
     supremum is the limit there.
     """
+    if math.isnan(x):
+        raise ValueError("the mean of the large-deviation rate is NaN")
     a = m.immigration.support_min()
     if x < a:
         # every S_n is at least n a

@@ -83,11 +83,21 @@ def _load_model(path: str) -> InarModel:
     return model_from_spec(obj)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expects a finite number, got {text!r}")
+    return value
+
+
 def _parse_floats(text: str, flag: str) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
+        return tuple(_finite_float(part) for part in text.split(",") if part.strip())
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"{flag} expects comma-separated finite numbers, got {text!r}") from exc
 
 
 def _parse_ints(text: str, flag: str) -> tuple:
@@ -251,12 +261,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, run):
+    def add_common(p, run, *int_flags):
+        """--model, the integer flags this command reads (of n, reps and seed), and --out."""
         p.set_defaults(run=run)
         p.add_argument("--model", required=True, help="path to a JSON model spec")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        for flag in int_flags:
+            p.add_argument(f"--{flag}", type=int, default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_theory = sub.add_parser("theory", help="asymptotic constants and rate-function grids")
@@ -264,21 +274,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_theory.add_argument("--x-grid", default=None, help="comma-separated grid for the rates")
 
     p_sim = sub.add_parser("simulate", help="one trajectory or a batch of replications")
-    add_common(p_sim, cmd_simulate)
+    add_common(p_sim, cmd_simulate, "n", "reps", "seed")
 
     p_val = sub.add_parser("validate", help="empirical and deterministic theorem checks")
-    add_common(p_val, cmd_validate)
+    add_common(p_val, cmd_validate, "n", "reps", "seed")
     p_val.add_argument("--checks", default="lln", help=f"comma list from {','.join(CHECKS)}")
-    p_val.add_argument("--beta", type=float, default=None)
-    p_val.add_argument("--x", type=float, default=None)
+    p_val.add_argument("--beta", type=_finite_float, default=None)
+    p_val.add_argument("--x", type=_finite_float, default=None)
     p_val.add_argument("--theta-grid", default=None, help="comma-separated tilt grid")
     p_val.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
 
     p_rec = sub.add_parser("recursion", help="dump tilt / expansion / scaled-MGF tables")
-    add_common(p_rec, cmd_recursion)
+    add_common(p_rec, cmd_recursion, "n")
     p_rec.add_argument("--what", choices=("tilt", "gbar", "mdp-curve"), default="tilt")
-    p_rec.add_argument("--theta", type=float, default=None)
-    p_rec.add_argument("--beta", type=float, default=None)
+    p_rec.add_argument("--theta", type=_finite_float, default=None)
+    p_rec.add_argument("--beta", type=_finite_float, default=None)
     p_rec.add_argument("--horizons", default=None, help="comma-separated horizon grid")
 
     return parser
@@ -294,7 +304,7 @@ def main(argv=None) -> int:
             if text is not None:
                 setattr(args, dest, parse(text, "--" + dest.replace("_", "-")))
         for flag in ("n", "reps"):
-            value = getattr(args, flag)
+            value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ConfigError(f"--{flag} must be at least 1, got {value}")
         return args.run(args)

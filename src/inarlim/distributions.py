@@ -142,7 +142,7 @@ class Constant(CountDistribution):
     SPEC = ("constant", {"value": "value"})
 
     def __post_init__(self):
-        if self.value < 0 or self.value != int(self.value):
+        if not 0 <= self.value < math.inf or self.value != int(self.value):
             raise ConfigError(f"constant value must be a nonnegative integer, got {self.value}")
         object.__setattr__(self, "value", int(self.value))
 
@@ -193,7 +193,7 @@ class Binomial(CountDistribution):
     SPEC = ("binomial", {"m": "m", "p": "p"})
 
     def __post_init__(self):
-        if self.m < 1 or self.m != int(self.m):
+        if not 1 <= self.m < math.inf or self.m != int(self.m):
             raise ConfigError(f"binomial m must be a positive integer, got {self.m}")
         _check_prob(self.p)
         object.__setattr__(self, "m", int(self.m))

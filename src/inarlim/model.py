@@ -295,8 +295,8 @@ class GeometricDecay(DecayLaw):
     SPEC = ("geometric", {"c": "c", "r": "r"})
 
     def __post_init__(self):
-        if self.c < 0.0:
-            raise ConfigError(f"decay scale must be nonnegative, got {self.c}")
+        if not 0.0 <= self.c < math.inf:
+            raise ConfigError(f"decay scale must be nonnegative and finite, got {self.c}")
         if not 0.0 < self.r < 1.0:
             raise ConfigError(f"geometric decay ratio must lie in (0, 1), got {self.r}")
 
@@ -380,11 +380,11 @@ class PowerLawDecay(_DotDecay):
     SPEC = ("power_law", {"c": "c", "a": "a"})
 
     def __post_init__(self):
-        if self.c < 0.0:
-            raise ConfigError(f"decay scale must be nonnegative, got {self.c}")
-        if not self.a > 1.0:
+        if not 0.0 <= self.c < math.inf:
+            raise ConfigError(f"decay scale must be nonnegative and finite, got {self.c}")
+        if not 1.0 < self.a < math.inf:
             raise ConfigError(
-                f"power-law exponent must exceed 1 for a summable series, got {self.a}"
+                f"power-law exponent must be finite and exceed 1 for a summable series, got {self.a}"
             )
 
     def coefficients(self, upto: int) -> np.ndarray:
@@ -452,8 +452,8 @@ class FiniteDecay(_DotDecay):
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         for v in vals:
-            if v < 0.0:
-                raise ConfigError(f"decay coefficients must be nonnegative, got {v}")
+            if not 0.0 <= v < math.inf:
+                raise ConfigError(f"decay coefficients must be nonnegative and finite, got {v}")
         object.__setattr__(self, "values", vals)
 
     def coefficients(self, upto: int) -> np.ndarray:
@@ -768,6 +768,10 @@ class PoissonOffspring(OffspringSequence):
 
     decay: DecayLaw
     SPEC = ("poisson_family", {"decay": "decay"})
+
+    def __post_init__(self):
+        if not isinstance(self.decay, DecayLaw):
+            raise ConfigError(f"a Poisson family's decay must be a decay law, got {self.decay!r}")
 
     def mean_decay(self) -> DecayLaw:
         return self.decay

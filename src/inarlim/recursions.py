@@ -88,6 +88,8 @@ def tilt_recursion(m: InarModel, theta: float, n: int) -> MgfRecursion:
     if n < 1:
         raise ValueError(f"horizon must be at least 1, got {n}")
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"tilt must be finite, got {theta}")
     f = np.empty(n, dtype=np.float64)
     k, settled = m.offspring.tilts(theta, f)
     if k < n:
@@ -204,13 +206,15 @@ class MdpSchedule:
     def __post_init__(self):
         if not 0.5 < self.beta < 1.0:
             raise ConfigError(f"beta must lie strictly between 0.5 and 1, got {self.beta}")
-        horizons = tuple(int(n) for n in self.horizons)
+        horizons = tuple(self.horizons)
         if not horizons:
             raise ConfigError("horizon grid must be nonempty")
         for n in horizons:
             if n < 2:
                 raise ConfigError(f"every horizon must be at least 2, got {n}")
-        object.__setattr__(self, "horizons", horizons)
+            if not n < math.inf or n != int(n):
+                raise ConfigError(f"every horizon must be a whole number, got {n}")
+        object.__setattr__(self, "horizons", tuple(int(n) for n in horizons))
 
     def c(self, n: int) -> float:
         return float(n) ** self.beta

@@ -13,6 +13,7 @@ from inarlim import (
     FiniteSupport,
     GeometricDecay,
     InarModel,
+    MdpSchedule,
     Poisson,
     PoissonOffspring,
     clt_variance,
@@ -21,13 +22,32 @@ from inarlim import (
     ldp_rate,
     limit_cgf,
     lln_mean,
+    log_mgf_exact,
+    mdp_mgf_curve,
     mdp_rate,
     theory_summary,
     tilt_fixed_point,
     tilt_gap,
+    tilt_recursion,
+    validate_gamma,
 )
 
 H1_THETA_C = 0.5 - math.log(0.5) - 1
+
+# Each entry point that takes a tilt or a mean, and the non-finite values it rejects
+NON_FINITE_CALLS = {
+    "tilt_recursion": (lambda m, v: tilt_recursion(m, v, 5), (math.nan, math.inf, -math.inf)),
+    "log_mgf_exact": (lambda m, v: log_mgf_exact(m, v, 5), (math.nan, math.inf, -math.inf)),
+    "mdp_mgf_curve": (
+        lambda m, v: mdp_mgf_curve(m, v, MdpSchedule(0.75, (10,))), (math.nan, math.inf, -math.inf)
+    ),
+    "tilt_fixed_point": (tilt_fixed_point, (math.nan,)),
+    "limit_cgf": (limit_cgf, (math.nan,)),
+    "ldp_rate": (ldp_rate, (math.nan,)),
+    "validate_gamma": (lambda m, v: validate_gamma(m, [v], 10, 10, seed=1), (math.nan,)),
+}
+# The one-lag law whose INAR(1) has each fixture's limit theory
+SINGLE_LAG = {"hawkes": Poisson(0.5), "bernoulli_ar1": Bernoulli(0.4)}
 
 
 def test_lln_mean(hawkes, bernoulli_ar1):
@@ -276,3 +296,21 @@ def test_binomial_offspring_attained():
     m = InarModel(Poisson(0.5), ExplicitOffspring((Binomial(3, 0.2),)))
     value, attained = critical_tilt(m)
     assert attained and value > 0
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+@pytest.mark.parametrize("fixture", sorted(SINGLE_LAG))
+def test_non_finite_tilts_and_means_raise(fixture, name, request):
+    """A NaN tilt or mean, or an infinite tilt of a recursion, raises rather than giving a number."""
+    m = request.getfixturevalue(fixture)
+    call, values = NON_FINITE_CALLS[name]
+    for value in values:
+        with pytest.raises(ValueError):
+            call(m, value)
+
+
+@pytest.mark.parametrize("fixture", sorted(SINGLE_LAG))
+def test_single_lag_rate_rejects_a_nan_mean(fixture, request):
+    m = request.getfixturevalue(fixture)
+    with pytest.raises(ValueError):
+        inar1_ldp_rate(m.immigration, SINGLE_LAG[fixture], math.nan)

@@ -276,25 +276,52 @@ def test_theory_outputs_pinned(name, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["validate", "--checks", "oracle", "--n", "-3"],
-        ["validate", "--checks", "oracle", "--n", "0"],
-        ["validate", "--checks", "lln", "--n", "-3"],
-        ["validate", "--checks", "cesaro", "--n", "-3"],
-        ["validate", "--checks", "lln", "--reps", "-2"],
-        ["validate", "--checks", "lln", "--reps", "0"],
-        ["simulate", "--n", "0"],
+        ["validate", "--checks", "oracle", "--n", "-3", "--seed", "1"],
+        ["validate", "--checks", "oracle", "--n", "0", "--seed", "1"],
+        ["validate", "--checks", "lln", "--n", "-3", "--seed", "1"],
+        ["validate", "--checks", "cesaro", "--n", "-3", "--seed", "1"],
+        ["validate", "--checks", "lln", "--reps", "-2", "--seed", "1"],
+        ["validate", "--checks", "lln", "--reps", "0", "--seed", "1"],
+        ["simulate", "--n", "0", "--seed", "1"],
         ["recursion", "--n", "-1"],
-        ["theory", "--n", "0"],
     ],
     ids=["oracle-n-negative", "oracle-n-zero", "lln-n-negative", "cesaro-n-negative",
-         "reps-negative", "reps-zero", "simulate-n-zero", "recursion-n-negative", "theory-n-zero"],
+         "reps-negative", "reps-zero", "simulate-n-zero", "recursion-n-negative"],
 )
 def test_sizes_below_one_exit_2_before_model_computation(tmp_path, capsys, argv):
     # the supercritical model would exit 3 if it were examined first
     path = tmp_path / "super.json"
     path.write_text(json.dumps(SUPERCRITICAL_SPEC))
-    assert main(argv + ["--model", str(path), "--seed", "1"]) == 2
+    assert main(argv + ["--model", str(path)]) == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theory", "--seed", "1"],
+        ["theory", "--n", "5"],
+        ["recursion", "--reps", "5"],
+        ["recursion", "--seed", "1"],
+        ["recursion", "--theta", "nan"],
+        ["recursion", "--what", "mdp-curve", "--beta", "inf"],
+        ["validate", "--checks", "mdp", "--x=-inf"],
+        ["theory", "--x-grid", "1,nan"],
+        ["validate", "--checks", "gamma", "--theta-grid", "0.1,inf"],
+    ],
+    ids=["theory-seed", "theory-n", "recursion-reps", "recursion-seed", "theta-nan", "beta-inf",
+         "x-negative-inf", "x-grid-nan", "theta-grid-inf"],
+)
+def test_unread_options_and_non_finite_numbers_exit_2(tmp_path, capsys, argv):
+    """A subcommand takes only the options it reads, and every number it takes is finite."""
+    path = tmp_path / "super.json"
+    path.write_text(json.dumps(SUPERCRITICAL_SPEC))
+    try:
+        code = main(argv + ["--model", str(path)])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_nothing_carries_over_between_calls(b1_path, tmp_path, capsys):

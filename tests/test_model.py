@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from inarlim import (
     Bernoulli,
+    Binomial,
     ConfigError,
     Constant,
     ExplicitOffspring,
@@ -61,6 +62,31 @@ def test_power_law_requires_summable_exponent():
         PowerLawDecay(c=0.1, a=1.0)
     with pytest.raises(ConfigError):
         PowerLawDecay(c=0.1, a=0.8)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GeometricDecay(math.nan, 0.5),
+        lambda: GeometricDecay(math.inf, 0.5),
+        lambda: PowerLawDecay(math.nan, 2.0),
+        lambda: PowerLawDecay(0.3, math.inf),
+        lambda: FiniteDecay((0.2, math.inf)),
+        lambda: FiniteDecay((math.nan,)),
+        lambda: PoissonOffspring("x"),
+        lambda: PoissonOffspring(Poisson(0.5)),
+        lambda: Constant(math.inf),
+        lambda: Constant(math.nan),
+        lambda: Binomial(math.inf, 0.5),
+        lambda: Binomial(math.nan, 0.5),
+    ],
+    ids=["geometric-c-nan", "geometric-c-inf", "power-c-nan", "power-a-inf", "finite-inf", "finite-nan",
+         "family-string", "family-law", "constant-inf", "constant-nan", "binomial-m-inf", "binomial-m-nan"],
+)
+def test_constructors_reject_non_finite_parameters(build):
+    """Built from Python as from JSON, a component with a non-finite parameter is a ConfigError."""
+    with pytest.raises(ConfigError):
+        build()
 
 
 def test_validate_geometric_hawkes_all_hold():

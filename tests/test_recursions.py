@@ -263,6 +263,9 @@ def test_mdp_schedule_validation():
         MdpSchedule(beta=0.75, horizons=())
     with pytest.raises(ConfigError):
         MdpSchedule(beta=0.75, horizons=(1,))
+    with pytest.raises(ConfigError, match="whole number"):
+        MdpSchedule(beta=0.7, horizons=(10.5,))
+    assert MdpSchedule(beta=0.7, horizons=(10.0,)).horizons == (10,)
 
 
 def test_mdp_curve_zero_tilt(hawkes):

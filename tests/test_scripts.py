@@ -29,17 +29,52 @@ MODULES = ["inarlim"] + [
     [
         ("hawkes_demo.py", ["--n", "200", "--reps", "5"]),
         ("mdp_curve_sweep.py", ["--horizons", "1000,10000"]),
-        ("simulate_timing.py", ["--horizons", "5,20", "--repeats", "1"]),
-        ("recursion_timing.py", ["--horizons", "5,20", "--repeats", "1"]),
-        ("theory_timing.py", ["--models", "1", "--repeats", "1"]),
     ],
 )
 def test_example_script_runs(script, args):
     assert _run_script(script, args)
 
 
+FIXTURES = ["hawkes", "ar1", "two_lag", "finite_mix", "power_law"]
+QUERIES = ["critical_tilt", "tilt_fixed_point", "limit_cgf", "ldp_rate"]
+
+
+@pytest.mark.parametrize(
+    "layer, args, header, rows",
+    [
+        (
+            "simulate",
+            ["--horizons", "5,20", "--repeats", "1"],
+            ["kernel", "n = 5 (ms)", "n = 20 (ms)"],
+            FIXTURES + ["binomial_lag", "poisson_imm", "two_poisson_lags", "geometric_lag", "staircase",
+                        "hawkes_0.9", "hawkes_0.95", "power_law_0.9_imm10"],
+        ),
+        (
+            "recursion",
+            ["--horizons", "5,20", "--repeats", "1"],
+            ["kernel", "tilt n = 5 (ms)", "tilt n = 20 (ms)", "tables n = 5 (ms)", "tables n = 20 (ms)"],
+            FIXTURES + ["ar1_0.99999"],
+        ),
+        (
+            "theory",
+            ["--models", "1", "--repeats", "1"],
+            ["models"] + [f"{q} (us)" for q in QUERIES] + [f"{q} evals" for q in QUERIES],
+            FIXTURES + ["bernoulli x1", "binomial x1", "finite x1", "geometric x1", "power_law x1"],
+        ),
+    ],
+    ids=["simulate", "recursion", "theory"],
+)
+def test_layer_timing_prints_each_layers_header_and_rows(layer, args, header, rows):
+    """Each layer's table starts with the benchmark's five fixtures and keeps its header and rows."""
+    lines = _run_script("layer_timing.py", [layer, *args]).splitlines()
+    assert lines[0].strip("| ").split(" | ") == header
+    assert lines[1] == "|---|" + "---:|" * (len(header) - 1)
+    assert [line.split(" | ")[0].strip("| ") for line in lines[2:]] == rows
+
+
 def test_recursion_timing_times_the_tables_at_their_own_horizons():
-    out = _run_script("recursion_timing.py", ["--horizons", "5", "--table-horizons", "7,30", "--repeats", "1"])
+    args = ["recursion", "--horizons", "5", "--table-horizons", "7,30", "--repeats", "1"]
+    out = _run_script("layer_timing.py", args)
     cells = out.splitlines()[0].strip("| ").split(" | ")
     assert cells == ["kernel", "tilt n = 5 (ms)", "tables n = 7 (ms)", "tables n = 30 (ms)"]
 
