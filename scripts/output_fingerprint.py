@@ -24,6 +24,12 @@ its value:
 * one ``simulate`` path and its martingale path at n = 200, seed 1;
 * the standard output of ``inarlim theory`` on its default grid.
 
+Then one ``cli_refusal`` record per command line that the CLI refuses
+after parsing it (a library check rejects a value, or the seed is
+negative): the exit code and the last line of standard error, or the
+raised error.  A command still running after ``REFUSAL_SECONDS`` is
+recorded as a ``TimeoutError``.
+
 A float is hashed by its repr, which tells -0.0 from 0.0; an array by its
 dtype and bytes; a raised error by its type and message.  ``--diff A B``
 prints the names of the records that differ or appear in one file only,
@@ -36,6 +42,7 @@ import contextlib
 import hashlib
 import io
 import json
+import signal
 import sys
 import tempfile
 from pathlib import Path
@@ -51,6 +58,23 @@ TILT_FRACTIONS = {"-0.0": -0.0, "0.0": 0.0, "0.5tc": 0.5, "0.99tc": 0.99}
 TILT_HORIZONS = (1, 3, 300)
 TABLE_N = 500
 PATH_N = 200
+REFUSAL_SECONDS = 10
+# no variance: no moderate-deviation rate and no CLT
+CONSTANT_SPEC = {"immigration": {"type": "constant", "value": 1},
+                 "offspring": {"type": "explicit", "laws": []}}
+# name -> (model, argument list before --model); "hawkes" is the benchmark's fixture
+REFUSALS = {
+    "clt-few-reps": ("hawkes", "validate --checks clt --n 10 --reps 10 --seed 1"),
+    "mdp-beta-low": ("hawkes", "validate --checks mdp --beta 0.3 --n 100 --reps 10 --seed 1"),
+    "mdp-x-negative": ("hawkes", "validate --checks mdp --x=-1 --n 100 --reps 10 --seed 1"),
+    "mdp-x-far-sized": ("hawkes", "validate --checks mdp --x 30 --n 100 --seed 1"),
+    "mdp-x-far-reps": ("hawkes", "validate --checks mdp --x 30 --n 100 --reps 10 --seed 1"),
+    "gamma-tilt-high": ("hawkes", "validate --checks gamma --theta-grid 5 --n 10 --reps 10 --seed 1"),
+    "theory-no-variance": ("constant", "theory"),
+    "clt-no-variance": ("constant", "validate --checks clt --reps 600"),
+    "simulate-seed-negative": ("hawkes", "simulate --n 5 --seed -1"),
+    "validate-seed-negative": ("hawkes", "validate --checks lln --n 5 --reps 3 --seed -3"),
+}
 
 
 def models() -> dict:
@@ -96,6 +120,26 @@ def _theory_stdout(spec: dict, workdir: str) -> str:
     with contextlib.redirect_stdout(out):
         code = cli.main(["theory", "--model", str(path)])
     return f"exit {code}\n{out.getvalue()}"
+
+
+def _refusal(spec: dict, args: str, workdir: str) -> str:
+    from inarlim import cli
+
+    path = Path(workdir) / "refused.json"
+    path.write_text(json.dumps(spec))
+    err = io.StringIO()
+
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {REFUSAL_SECONDS} s")
+
+    signal.signal(signal.SIGALRM, stop)
+    signal.alarm(REFUSAL_SECONDS)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(args.split() + ["--model", str(path)])
+    finally:
+        signal.alarm(0)
+    return f"exit {code}\n{err.getvalue().splitlines()[-1]}"
 
 
 def records(m, spec: dict, workdir: str):
@@ -144,14 +188,21 @@ def records(m, spec: dict, workdir: str):
 
 
 def fingerprint(out) -> None:
+    def write(name, compute):
+        try:
+            value = compute()
+        except Exception as exc:  # a raised error is an output too
+            value = f"{type(exc).__name__}: {exc}"
+        out.write(f"{name} {_digest(value)}\n")
+
     with tempfile.TemporaryDirectory() as workdir:
-        for model_name, (m, spec) in models().items():
+        all_models = models()
+        for model_name, (m, spec) in all_models.items():
             for name, compute in records(m, spec, workdir):
-                try:
-                    value = compute()
-                except Exception as exc:  # a raised error is an output too
-                    value = f"{type(exc).__name__}: {exc}"
-                out.write(f"{model_name}/{name} {_digest(value)}\n")
+                write(f"{model_name}/{name}", compute)
+        specs = {"hawkes": all_models["hawkes"][1], "constant": CONSTANT_SPEC}
+        for name, (model, args) in REFUSALS.items():
+            write(f"cli_refusal/{name}", lambda: _refusal(specs[model], args, workdir))
 
 
 def _read(path: str) -> dict:

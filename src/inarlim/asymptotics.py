@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .distributions import CountDistribution
+from .errors import ConfigError
 from .model import ExplicitOffspring, InarModel, require_assumptions
 
 __all__ = [
@@ -227,7 +228,7 @@ def mdp_rate(m: InarModel, x: float) -> float:
 def quadratic_rate(x: float, sigma2: float) -> float:
     """x^2 / (2 sigma2): the moderate-deviation rate of a model with CLT variance sigma2."""
     if sigma2 == 0.0:
-        raise ValueError(
+        raise ConfigError(
             "degenerate model: immigration and offspring are all constant, "
             "the moderate-deviation rate is undefined"
         )

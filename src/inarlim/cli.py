@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict
 
 from .asymptotics import critical_tilt, ldp_rate, quadratic_rate, theory_summary
-from .errors import AssumptionViolation, ConfigError, EnumerationError
+from .errors import AssumptionViolation, ConfigError, EnumerationError, InsufficientTailMass
 from .model import InarModel, model_from_spec, require_assumptions
 from .montecarlo import (
     _oracle_report_and_law,
@@ -68,8 +68,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_model(path: str) -> InarModel:
@@ -93,30 +96,31 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_floats(text: str, flag: str) -> tuple:
-    try:
-        return tuple(_finite_float(part) for part in text.split(",") if part.strip())
-    except argparse.ArgumentTypeError as exc:
-        raise ConfigError(f"{flag} expects comma-separated finite numbers, got {text!r}") from exc
+def _whole(text: str) -> int:
+    """A finite whole number, such as a horizon; "1e4" reads as 10000."""
+    value = _finite_float(text)
+    if value != int(value):
+        raise argparse.ArgumentTypeError(f"expects a whole number, got {text!r}")
+    return int(value)
 
 
-def _parse_ints(text: str, flag: str) -> tuple:
-    vals = _parse_floats(text, flag)
-    out = []
-    for v in vals:
-        if v != int(v):
-            raise ConfigError(f"{flag} expects integers, got {v}")
-        out.append(int(v))
-    return tuple(out)
+def _at_least(low: int):
+    """The type of an integer flag that must be at least ``low``."""
+
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
-# Comma-list flags: destination -> parser.  main parses them before any model computation.
-_LIST_FLAGS = {
-    "x_grid": _parse_floats,
-    "theta_grid": _parse_floats,
-    "horizons": _parse_ints,
-    "checks": lambda text, flag: tuple(c.strip() for c in text.split(",") if c.strip()),
-}
+def _check_name(text: str) -> str:
+    name = text.strip()
+    if name not in CHECKS:
+        raise argparse.ArgumentTypeError(f"unknown check {name!r}; choose from {', '.join(CHECKS)}")
+    return name
 
 
 def _csv_text(header: list, rows: list) -> str:
@@ -129,12 +133,8 @@ def _csv_text(header: list, rows: list) -> str:
 
 def cmd_theory(args: argparse.Namespace) -> int:
     summary = theory_summary(args.model)
-    if args.x_grid:
-        x_grid = args.x_grid
-    else:
-        mu = summary.mu
-        base = mu if mu > 0 else 1.0
-        x_grid = tuple(base * frac for frac in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0))
+    base = summary.mu if summary.mu > 0 else 1.0
+    x_grid = args.x_grid or tuple(base * frac for frac in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0))
     payload = asdict(summary) | {
         "I": [{"x": x, "value": ldp_rate(args.model, x)} for x in x_grid],
         "J": [{"x": x, "value": quadratic_rate(x, summary.sigma2)} for x in x_grid],
@@ -145,8 +145,6 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     require_assumptions(args.model, labels=("a", "c"))
-    if args.n is None:
-        raise ConfigError("simulate requires --n")
     seed, drawn = _seed(args)
     if args.reps is None:
         traj = simulate(args.model, args.n, RandomStream(seed=seed))
@@ -184,12 +182,7 @@ CHECKS = {
     "lln": lambda args, seed: validate_lln(args.model, args.n or 5000, args.reps or 500, seed),
     "clt": lambda args, seed: validate_clt(args.model, args.n or 2000, args.reps or 2000, seed),
     "mdp": lambda args, seed: validate_mdp(
-        args.model,
-        x=args.x if args.x is not None else 1.0,
-        beta=args.beta if args.beta is not None else 0.6,
-        n=args.n or 10_000,
-        reps=args.reps,
-        seed=seed,
+        args.model, x=args.x, beta=args.beta, n=args.n or 10_000, reps=args.reps, seed=seed
     ),
     "gamma": _check_gamma,
     "cesaro": lambda args, seed: validate_cesaro(args.model, args.n or 100_000),
@@ -199,15 +192,11 @@ CHECKS = {
 
 def cmd_validate(args: argparse.Namespace) -> int:
     require_assumptions(args.model, labels=("a", "c"))
-    checks = args.checks or ("lln",)
-    for name in checks:
-        if name not in CHECKS:
-            raise ConfigError(f"unknown check {name!r}; choose from {', '.join(CHECKS)}")
     seed, drawn = _seed(args)
     if drawn:
         print(f"seed: {seed} (drawn from system entropy)", file=sys.stderr)
 
-    reports = [CHECKS[name](args, seed) for name in checks]
+    reports = [CHECKS[name](args, seed) for name in args.checks]
     if args.out is not None or args.fmt == "json":
         payloads = [_jsonable(asdict(rep)) for rep in reports]
     if args.out is not None:
@@ -228,24 +217,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_recursion(args: argparse.Namespace) -> int:
     require_assumptions(args.model, labels=("a", "c"))
-    theta = args.theta if args.theta is not None else 0.1
     if args.what == "tilt":
-        rec = tilt_recursion(args.model, theta, args.n or 1000)
+        rec = tilt_recursion(args.model, args.theta, args.n)
         rows = [(k + 1, repr(float(v))) for k, v in enumerate(rec.values)]
         text = _csv_text(["k", "f"], rows)
     elif args.what == "gbar":
-        tables = gbar_tables(args.model, args.n or 1000)
+        tables = gbar_tables(args.model, args.n)
         rows = [
             (k + 1, repr(float(g1)), repr(float(g2)))
             for k, (g1, g2) in enumerate(zip(tables.g1, tables.g2))
         ]
         text = _csv_text(["k", "g1", "g2"], rows)
     else:
-        sched = MdpSchedule(
-            beta=args.beta if args.beta is not None else 0.75,
-            horizons=args.horizons or (10_000, 100_000),
-        )
-        points = mdp_mgf_curve(args.model, theta, sched)
+        sched = MdpSchedule(beta=args.beta, horizons=args.horizons)
+        points = mdp_mgf_curve(args.model, args.theta, sched)
         rows = [(p.n, repr(p.value), repr(p.limit)) for p in points]
         text = _csv_text(["n", "value", "limit"], rows)
     _write_text(args.out, text)
@@ -260,55 +245,64 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate their limit theory.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    size, seed = _at_least(1), _at_least(0)
 
-    def add_common(p, run, *int_flags):
-        """--model, the integer flags this command reads (of n, reps and seed), and --out."""
+    def add_common(p, run):
         p.set_defaults(run=run)
         p.add_argument("--model", required=True, help="path to a JSON model spec")
-        for flag in int_flags:
-            p.add_argument(f"--{flag}", type=int, default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
+
+    def add_list(p, flag, item, default=None, **kwargs):
+        """A comma-separated list flag; an empty list, like no flag, means ``default``."""
+
+        def parse(text: str):
+            return tuple(item(part) for part in text.split(",") if part.strip()) or default
+
+        p.add_argument(flag, type=parse, default=default, **kwargs)
 
     p_theory = sub.add_parser("theory", help="asymptotic constants and rate-function grids")
     add_common(p_theory, cmd_theory)
-    p_theory.add_argument("--x-grid", default=None, help="comma-separated grid for the rates")
+    add_list(p_theory, "--x-grid", _finite_float, help="comma-separated grid for the rates")
 
     p_sim = sub.add_parser("simulate", help="one trajectory or a batch of replications")
-    add_common(p_sim, cmd_simulate, "n", "reps", "seed")
+    add_common(p_sim, cmd_simulate)
+    p_sim.add_argument("--n", type=size, required=True)
+    p_sim.add_argument("--reps", type=size)
+    p_sim.add_argument("--seed", type=seed)
 
     p_val = sub.add_parser("validate", help="empirical and deterministic theorem checks")
-    add_common(p_val, cmd_validate, "n", "reps", "seed")
-    p_val.add_argument("--checks", default="lln", help=f"comma list from {','.join(CHECKS)}")
-    p_val.add_argument("--beta", type=_finite_float, default=None)
-    p_val.add_argument("--x", type=_finite_float, default=None)
-    p_val.add_argument("--theta-grid", default=None, help="comma-separated tilt grid")
+    add_common(p_val, cmd_validate)
+    p_val.add_argument("--n", type=size)
+    p_val.add_argument("--reps", type=size)
+    p_val.add_argument("--seed", type=seed)
+    add_list(p_val, "--checks", _check_name, ("lln",), help=f"comma list from {','.join(CHECKS)}")
+    p_val.add_argument("--beta", type=_finite_float, default=0.6)
+    p_val.add_argument("--x", type=_finite_float, default=1.0)
+    add_list(p_val, "--theta-grid", _finite_float, help="comma-separated tilt grid")
     p_val.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
 
     p_rec = sub.add_parser("recursion", help="dump tilt / expansion / scaled-MGF tables")
-    add_common(p_rec, cmd_recursion, "n")
+    add_common(p_rec, cmd_recursion)
+    p_rec.add_argument("--n", type=size, default=1000)
     p_rec.add_argument("--what", choices=("tilt", "gbar", "mdp-curve"), default="tilt")
-    p_rec.add_argument("--theta", type=_finite_float, default=None)
-    p_rec.add_argument("--beta", type=_finite_float, default=None)
-    p_rec.add_argument("--horizons", default=None, help="comma-separated horizon grid")
+    p_rec.add_argument("--theta", type=_finite_float, default=0.1)
+    p_rec.add_argument("--beta", type=_finite_float, default=0.75)
+    add_list(p_rec, "--horizons", _whole, (10_000, 100_000), help="comma-separated horizon grid")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command and return its exit code; the one place a failure becomes a code."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed a usage error (2) or the help (0)
+        return exc.code
     try:
         # the commands read the namespace, with --model replaced by the model it names
         args.model = _load_model(args.model)
-        for dest, parse in _LIST_FLAGS.items():
-            text = getattr(args, dest, None)
-            if text is not None:
-                setattr(args, dest, parse(text, "--" + dest.replace("_", "-")))
-        for flag in ("n", "reps"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                raise ConfigError(f"--{flag} must be at least 1, got {value}")
         return args.run(args)
-    except (ConfigError, EnumerationError) as exc:
+    except (ConfigError, EnumerationError, InsufficientTailMass) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AssumptionViolation as exc:

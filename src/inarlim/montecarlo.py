@@ -27,7 +27,7 @@ import numpy as np
 
 from .asymptotics import clt_variance, critical_tilt, limit_cgf, quadratic_rate
 from .distributions import log_sum_exp
-from .errors import InsufficientTailMass
+from .errors import ConfigError, InsufficientTailMass
 from .model import InarModel, require_assumptions
 from .oracle import enumerate_sum_distributions
 from .recursions import gbar_tables, log_mgf_by_horizon, log_mgf_exact
@@ -52,6 +52,7 @@ KS_CRITICAL_SCALE = 1.95  # asymptotic one-sample critical value at level 0.001
 MIN_KS_REPS = 500  # keeps the asymptotic critical value applicable
 MDP_BAND = (0.6, 1.4)  # wide band: tail log-asymptotics converge logarithmically
 MDP_MIN_EXPECTED_TAIL = 50.0
+MDP_MAX_SIZED_REPS = 1_000_000  # the largest batch validate_mdp sizes for itself
 GAMMA_DETERMINISTIC_N = 100_000
 GAMMA_DETERMINISTIC_TOL = 1e-3
 CESARO_REL_TOL = 0.01
@@ -137,13 +138,13 @@ def validate_clt(
 ) -> ValidationReport:
     """One-sample KS test of the standardized sums against the standard normal."""
     if reps < MIN_KS_REPS:
-        raise ValueError(f"need at least {MIN_KS_REPS} replications for the asymptotic KS test")
+        raise ConfigError(f"need at least {MIN_KS_REPS} replications for the asymptotic KS test")
     start = time.perf_counter()
     report = require_assumptions(m, labels=("a", "c"))
     mu = report.mu
     sigma2 = report.sigma2 if sigma2_override is None else sigma2_override
     if sigma2 <= 0.0:
-        raise ValueError("degenerate model: the limiting variance vanishes")
+        raise ConfigError("degenerate model: the limiting variance vanishes")
     sums = _batch_sums(m, n, reps, seed)
     z = (sums - n * mu) / math.sqrt(n * sigma2)
     ks = ks_statistic_normal(np.sort(z))
@@ -156,12 +157,11 @@ def validate_clt(
     )
 
 
-def predicted_tail_probability(m: InarModel, x: float, beta: float, n: int) -> float:
+def predicted_tail_probability(
+    m: InarModel, x: float, beta: float, n: int, sigma2_override=None
+) -> float:
     """Normal approximation of P((S_n - n mu)/c(n) >= x), used to size batches."""
-    return _normal_tail(x, beta, n, clt_variance(m))
-
-
-def _normal_tail(x: float, beta: float, n: int, sigma2: float) -> float:
+    sigma2 = clt_variance(m) if sigma2_override is None else sigma2_override
     return normal_sf(x * float(n) ** beta / math.sqrt(n * sigma2))
 
 
@@ -172,23 +172,29 @@ def validate_mdp(
 
     Estimates p = P((S_n - n mu)/c(n) >= x) with c(n) = n**beta and reports
     -(n/c(n)^2) log p against the quadratic rate.  ``reps=None`` sizes the
-    batch so the expected tail count comfortably exceeds the minimum.
+    batch so the expected tail count comfortably exceeds the minimum, and
+    raises ``InsufficientTailMass`` where that takes more than
+    ``MDP_MAX_SIZED_REPS`` replications.
     """
     if not 0.5 < beta < 1.0:
-        raise ValueError(f"beta must lie strictly between 0.5 and 1, got {beta}")
+        raise ConfigError(f"beta must lie strictly between 0.5 and 1, got {beta}")
     if x <= 0.0:
-        raise ValueError(f"tail threshold must be positive, got {x}")
+        raise ConfigError(f"tail threshold must be positive, got {x}")
     if n < 1:
-        raise ValueError(f"horizon must be at least 1, got {n}")
+        raise ConfigError(f"horizon must be at least 1, got {n}")
     start = time.perf_counter()
     report = require_assumptions(m, labels=("a", "c"))
     mu = report.mu
     target = quadratic_rate(x, report.sigma2)
-    p_pred = _normal_tail(x, beta, n, report.sigma2)
+    p_pred = predicted_tail_probability(m, x, beta, n, sigma2_override=report.sigma2)
     if reps is None:
-        if p_pred <= 0.0:
-            raise InsufficientTailMass("predicted tail probability underflows to zero")
-        reps = int(math.ceil(1.2 * MDP_MIN_EXPECTED_TAIL / p_pred))
+        needed = 1.2 * MDP_MIN_EXPECTED_TAIL / p_pred if p_pred > 0.0 else math.inf
+        if needed > MDP_MAX_SIZED_REPS:
+            raise InsufficientTailMass(
+                f"predicted tail probability {p_pred:.2e} would take {needed:.2e} replications, "
+                f"more than the {MDP_MAX_SIZED_REPS} a sized batch may have"
+            )
+        reps = int(math.ceil(needed))
     if reps * p_pred < MDP_MIN_EXPECTED_TAIL:
         raise InsufficientTailMass(
             f"expected tail count {reps * p_pred:.1f} below {MDP_MIN_EXPECTED_TAIL:.0f}; "
@@ -235,11 +241,13 @@ def validate_gamma(
     start = time.perf_counter()
     theta_grid = [float(t) for t in theta_grid]
     if not theta_grid:
-        raise ValueError("tilt grid must be nonempty")
+        raise ConfigError("tilt grid must be nonempty")
+    if not all(map(math.isfinite, theta_grid)):
+        raise ConfigError(f"every tilt must be finite, got {theta_grid}")
     tc, _ = critical_tilt(m)
     for theta in theta_grid:
         if theta > 0.5 * tc:
-            raise ValueError(
+            raise ConfigError(
                 f"tilt {theta} exceeds half the critical tilt {tc}; the empirical MGF "
                 "is not estimable there"
             )

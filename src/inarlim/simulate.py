@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FingerprintMismatch
+from .errors import ConfigError, FingerprintMismatch
 from .model import InarModel, validate
 
 __all__ = [
@@ -60,6 +60,10 @@ class RandomStream:
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0 or self.stream < 0:
+            raise ConfigError(f"seed and stream must be nonnegative, got {self.seed}, {self.stream}")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))

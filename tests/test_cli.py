@@ -382,3 +382,43 @@ def test_recursion_dumps(b1_path, h1_path, tmp_path):
 
 def test_missing_model_file(tmp_path):
     assert main(["theory", "--model", str(tmp_path / "nope.json")]) == 2
+
+
+CONSTANT_SPEC = {  # sigma2 = 0: no moderate-deviation rate and no CLT
+    "immigration": {"type": "constant", "value": 1},
+    "offspring": {"type": "explicit", "laws": []},
+}
+
+
+@pytest.mark.parametrize(
+    "spec, argv",
+    [
+        (H1_SPEC, ["validate", "--checks", "clt", "--n", "10", "--reps", "10", "--seed", "1"]),
+        (H1_SPEC, ["validate", "--checks", "mdp", "--beta", "0.3", "--n", "100", "--reps", "10",
+                   "--seed", "1"]),
+        (H1_SPEC, ["validate", "--checks", "mdp", "--x=-1", "--n", "100", "--reps", "10",
+                   "--seed", "1"]),
+        (H1_SPEC, ["validate", "--checks", "mdp", "--x", "30", "--n", "100", "--seed", "1"]),
+        (H1_SPEC, ["validate", "--checks", "mdp", "--x", "30", "--n", "100", "--reps", "10",
+                   "--seed", "1"]),
+        (H1_SPEC, ["validate", "--checks", "gamma", "--theta-grid", "5", "--n", "10",
+                   "--reps", "10", "--seed", "1"]),
+        (CONSTANT_SPEC, ["theory"]),
+        (CONSTANT_SPEC, ["validate", "--checks", "clt", "--reps", "600"]),
+        (H1_SPEC, ["simulate", "--n", "5", "--seed", "-1"]),
+        (H1_SPEC, ["validate", "--checks", "lln", "--n", "5", "--reps", "3", "--seed", "-3"]),
+        (H1_SPEC, ["theory", "--out", "{missing}/x.json"]),
+        (B1_SPEC, ["validate", "--checks", "oracle", "--n", "3", "--out", "{missing}/rep"]),
+    ],
+    ids=["clt-few-reps", "mdp-beta-low", "mdp-x-negative", "mdp-x-far-sized", "mdp-x-far-reps",
+         "gamma-tilt-high", "theory-no-variance", "clt-no-variance", "simulate-seed-negative",
+         "validate-seed-negative", "theory-out-missing-dir", "oracle-out-missing-dir"],
+)
+def test_library_rejections_exit_2_without_a_traceback(tmp_path, capsys, spec, argv):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    assert main(argv + ["--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err.splitlines()[-1]
+    assert "Traceback" not in err

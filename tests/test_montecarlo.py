@@ -3,7 +3,9 @@ import math
 import pytest
 
 import inarlim.model
+import inarlim.montecarlo
 from inarlim import (
+    ConfigError,
     Constant,
     EnumerationError,
     ExplicitOffspring,
@@ -79,6 +81,16 @@ def test_mdp_insufficient_tail_mass(hawkes):
         validate_mdp(hawkes, x=1.0, beta=0.6, n=1000, reps=20, seed=SEED)
 
 
+def test_mdp_refuses_to_size_a_batch_beyond_its_cap(hawkes, monkeypatch):
+    # P = 1e-63 here: the sized batch would take 6e64 replications
+    def must_not_run(*args):
+        raise AssertionError("simulated a batch it cannot fill")
+
+    monkeypatch.setattr(inarlim.montecarlo, "_batch_sums", must_not_run)
+    with pytest.raises(InsufficientTailMass, match="replications"):
+        validate_mdp(hawkes, x=30.0, beta=0.6, n=100, reps=None, seed=SEED)
+
+
 def test_mdp_parameter_validation(hawkes):
     with pytest.raises(ValueError):
         validate_mdp(hawkes, x=1.0, beta=0.4, n=1000, reps=None, seed=SEED)
@@ -120,6 +132,17 @@ def test_gamma_zero_tilt_trivial(bernoulli_ar1):
 def test_gamma_rejects_large_tilts(hawkes):
     with pytest.raises(ValueError):
         validate_gamma(hawkes, theta_grid=(0.15,), n=500, reps=600, seed=SEED)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_gamma_rejects_non_finite_tilts_before_any_work(hawkes, monkeypatch, theta):
+    def must_not_run(*args):
+        raise AssertionError("ran before the grid was checked")
+
+    monkeypatch.setattr(inarlim.montecarlo, "critical_tilt", must_not_run)
+    monkeypatch.setattr(inarlim.montecarlo, "_batch_sums", must_not_run)
+    with pytest.raises(ConfigError, match="finite"):
+        validate_gamma(hawkes, [0.01, theta], n=1000, reps=2000, seed=SEED)
 
 
 def test_cesaro_check_passes_at_long_horizons_and_fails_at_short_ones(bernoulli_ar1):

@@ -8,6 +8,7 @@ from scipy.stats import ks_2samp
 from inarlim import (
     Bernoulli,
     Binomial,
+    ConfigError,
     Constant,
     ExplicitOffspring,
     FingerprintMismatch,
@@ -243,3 +244,12 @@ def test_fingerprint_mismatch_rejected(hawkes, bernoulli_ar1):
     traj = simulate(hawkes, 10, RandomStream(seed=1))
     with pytest.raises(FingerprintMismatch):
         martingale_diagnostic(traj, bernoulli_ar1)
+
+
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1), (-5, 3)])
+def test_random_stream_rejects_negative_seeds_and_streams(seed, stream):
+    # numpy's SeedSequence would refuse them only when the first path is drawn
+    with pytest.raises(ConfigError, match="nonnegative"):
+        RandomStream(seed=seed, stream=stream)
+    with pytest.raises(ConfigError):
+        RandomStream(seed=1).with_stream(-1)
