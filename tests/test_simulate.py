@@ -251,5 +251,3 @@ def test_random_stream_rejects_negative_seeds_and_streams(seed, stream):
     # numpy's SeedSequence would refuse them only when the first path is drawn
     with pytest.raises(ConfigError, match="nonnegative"):
         RandomStream(seed=seed, stream=stream)
-    with pytest.raises(ConfigError):
-        RandomStream(seed=1).with_stream(-1)
