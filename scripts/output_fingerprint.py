@@ -69,6 +69,7 @@ REFUSALS = {
     "mdp-x-negative": ("hawkes", "validate --checks mdp --x=-1 --n 100 --reps 10 --seed 1"),
     "mdp-x-far-sized": ("hawkes", "validate --checks mdp --x 30 --n 100 --seed 1"),
     "mdp-x-far-reps": ("hawkes", "validate --checks mdp --x 30 --n 100 --reps 10 --seed 1"),
+    "mdp-x-far-default-n": ("hawkes", "validate --checks mdp --x 4 --seed 1"),
     "gamma-tilt-high": ("hawkes", "validate --checks gamma --theta-grid 5 --n 10 --reps 10 --seed 1"),
     "theory-no-variance": ("constant", "theory"),
     "clt-no-variance": ("constant", "validate --checks clt --reps 600"),

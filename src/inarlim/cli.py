@@ -133,8 +133,12 @@ def _csv_text(header: list, rows: list) -> str:
 
 def cmd_theory(args: argparse.Namespace) -> int:
     summary = theory_summary(args.model)
-    base = summary.mu if summary.mu > 0 else 1.0
-    x_grid = args.x_grid or tuple(base * frac for frac in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0))
+    if args.x_grid:
+        x_grid = args.x_grid
+    else:
+        mu = summary.mu
+        base = mu if mu > 0 else 1.0
+        x_grid = tuple(base * frac for frac in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0))
     payload = asdict(summary) | {
         "I": [{"x": x, "value": ldp_rate(args.model, x)} for x in x_grid],
         "J": [{"x": x, "value": quadratic_rate(x, summary.sigma2)} for x in x_grid],
@@ -182,7 +186,12 @@ CHECKS = {
     "lln": lambda args, seed: validate_lln(args.model, args.n or 5000, args.reps or 500, seed),
     "clt": lambda args, seed: validate_clt(args.model, args.n or 2000, args.reps or 2000, seed),
     "mdp": lambda args, seed: validate_mdp(
-        args.model, x=args.x, beta=args.beta, n=args.n or 10_000, reps=args.reps, seed=seed
+        args.model,
+        x=args.x,
+        beta=args.beta,
+        n=args.n or 10_000,
+        reps=args.reps,
+        seed=seed,
     ),
     "gamma": _check_gamma,
     "cesaro": lambda args, seed: validate_cesaro(args.model, args.n or 100_000),

@@ -52,7 +52,12 @@ KS_CRITICAL_SCALE = 1.95  # asymptotic one-sample critical value at level 0.001
 MIN_KS_REPS = 500  # keeps the asymptotic critical value applicable
 MDP_BAND = (0.6, 1.4)  # wide band: tail log-asymptotics converge logarithmically
 MDP_MIN_EXPECTED_TAIL = 50.0
-MDP_MAX_SIZED_REPS = 1_000_000  # the largest batch validate_mdp sizes for itself
+# The most work validate_mdp sizes a batch for by itself: replications times
+# (n + REPLICATION_SETUP_STEPS) steps.  From the per-replication times of the five
+# bench fixtures at n = 1, 100, 1000 and 10,000 (2-core Xeon), a batch at the bound
+# runs for 3 to 15 minutes.
+MDP_SIZED_BATCH_STEPS = 1e9
+REPLICATION_SETUP_STEPS = 100  # 23-32 us against 0.19-0.84 us a step
 GAMMA_DETERMINISTIC_N = 100_000
 GAMMA_DETERMINISTIC_TOL = 1e-3
 CESARO_REL_TOL = 0.01
@@ -157,11 +162,12 @@ def validate_clt(
     )
 
 
-def predicted_tail_probability(
-    m: InarModel, x: float, beta: float, n: int, sigma2_override=None
-) -> float:
+def predicted_tail_probability(m: InarModel, x: float, beta: float, n: int) -> float:
     """Normal approximation of P((S_n - n mu)/c(n) >= x), used to size batches."""
-    sigma2 = clt_variance(m) if sigma2_override is None else sigma2_override
+    return _normal_tail(x, beta, n, clt_variance(m))
+
+
+def _normal_tail(x: float, beta: float, n: int, sigma2: float) -> float:
     return normal_sf(x * float(n) ** beta / math.sqrt(n * sigma2))
 
 
@@ -173,8 +179,9 @@ def validate_mdp(
     Estimates p = P((S_n - n mu)/c(n) >= x) with c(n) = n**beta and reports
     -(n/c(n)^2) log p against the quadratic rate.  ``reps=None`` sizes the
     batch so the expected tail count comfortably exceeds the minimum, and
-    raises ``InsufficientTailMass`` where that takes more than
-    ``MDP_MAX_SIZED_REPS`` replications.
+    raises ``InsufficientTailMass`` where that batch would simulate more than
+    ``MDP_SIZED_BATCH_STEPS`` steps, counting ``REPLICATION_SETUP_STEPS``
+    more for each replication.
     """
     if not 0.5 < beta < 1.0:
         raise ConfigError(f"beta must lie strictly between 0.5 and 1, got {beta}")
@@ -186,13 +193,14 @@ def validate_mdp(
     report = require_assumptions(m, labels=("a", "c"))
     mu = report.mu
     target = quadratic_rate(x, report.sigma2)
-    p_pred = predicted_tail_probability(m, x, beta, n, sigma2_override=report.sigma2)
+    p_pred = _normal_tail(x, beta, n, report.sigma2)
     if reps is None:
         needed = 1.2 * MDP_MIN_EXPECTED_TAIL / p_pred if p_pred > 0.0 else math.inf
-        if needed > MDP_MAX_SIZED_REPS:
+        if needed * (n + REPLICATION_SETUP_STEPS) > MDP_SIZED_BATCH_STEPS:
             raise InsufficientTailMass(
-                f"predicted tail probability {p_pred:.2e} would take {needed:.2e} replications, "
-                f"more than the {MDP_MAX_SIZED_REPS} a sized batch may have"
+                f"predicted tail probability {p_pred:.2e} would take {needed:.2e} replications "
+                f"of {n} steps, more than the {MDP_SIZED_BATCH_STEPS:.0e} steps a sized batch "
+                "may simulate"
             )
         reps = int(math.ceil(needed))
     if reps * p_pred < MDP_MIN_EXPECTED_TAIL:

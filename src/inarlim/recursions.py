@@ -240,7 +240,7 @@ def mdp_mgf_curve(m: InarModel, theta: float, sched: MdpSchedule) -> list:
     reported as an infinite value for that point only.
     """
     report = require_assumptions(m, labels=("a", "c"))
-    limit = mdp_scaled_limit(m, theta)
+    limit = theta**2 * report.sigma2 / 2.0
     points = []
     for n in sched.horizons:
         c = sched.c(n)

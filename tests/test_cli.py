@@ -401,6 +401,7 @@ CONSTANT_SPEC = {  # sigma2 = 0: no moderate-deviation rate and no CLT
         (H1_SPEC, ["validate", "--checks", "mdp", "--x", "30", "--n", "100", "--seed", "1"]),
         (H1_SPEC, ["validate", "--checks", "mdp", "--x", "30", "--n", "100", "--reps", "10",
                    "--seed", "1"]),
+        (H1_SPEC, ["validate", "--checks", "mdp", "--x", "4", "--seed", "1"]),
         (H1_SPEC, ["validate", "--checks", "gamma", "--theta-grid", "5", "--n", "10",
                    "--reps", "10", "--seed", "1"]),
         (CONSTANT_SPEC, ["theory"]),
@@ -411,7 +412,7 @@ CONSTANT_SPEC = {  # sigma2 = 0: no moderate-deviation rate and no CLT
         (B1_SPEC, ["validate", "--checks", "oracle", "--n", "3", "--out", "{missing}/rep"]),
     ],
     ids=["clt-few-reps", "mdp-beta-low", "mdp-x-negative", "mdp-x-far-sized", "mdp-x-far-reps",
-         "gamma-tilt-high", "theory-no-variance", "clt-no-variance", "simulate-seed-negative",
+         "mdp-x-far-default-n", "gamma-tilt-high", "theory-no-variance", "clt-no-variance", "simulate-seed-negative",
          "validate-seed-negative", "theory-out-missing-dir", "oracle-out-missing-dir"],
 )
 def test_library_rejections_exit_2_without_a_traceback(tmp_path, capsys, spec, argv):

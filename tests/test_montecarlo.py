@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import inarlim.model
@@ -89,6 +90,23 @@ def test_mdp_refuses_to_size_a_batch_beyond_its_cap(hawkes, monkeypatch):
     monkeypatch.setattr(inarlim.montecarlo, "_batch_sums", must_not_run)
     with pytest.raises(InsufficientTailMass, match="replications"):
         validate_mdp(hawkes, x=30.0, beta=0.6, n=100, reps=None, seed=SEED)
+
+
+def test_mdp_sizes_a_batch_by_its_steps(hawkes, monkeypatch):
+    sized = []
+
+    def no_tail_hits(m, n, reps, seed):
+        sized.append(reps)
+        return np.zeros(reps)
+
+    monkeypatch.setattr(inarlim.montecarlo, "_batch_sums", no_tail_hits)
+    # 1.37e6 replications of 100 steps: 2.7e8 steps, within the bound
+    validate_mdp(hawkes, x=7.0, beta=0.6, n=100, reps=None, seed=SEED)
+    assert sized == [1_368_810]
+    # 3.1e5 replications of 10,000 steps, the CLI's default horizon: 3.2e9 steps
+    with pytest.raises(InsufficientTailMass, match="steps"):
+        validate_mdp(hawkes, x=4.0, beta=0.6, n=10_000, reps=None, seed=SEED)
+    assert len(sized) == 1
 
 
 def test_mdp_parameter_validation(hawkes):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import inarlim.model
 from inarlim import (
     Bernoulli,
     ConfigError,
@@ -276,6 +277,15 @@ def test_mdp_curve_zero_tilt(hawkes):
 def test_mdp_limits(bernoulli_ar1, hawkes):
     assert mdp_scaled_limit(bernoulli_ar1, 1.0) == pytest.approx(0.625, abs=1e-14)
     assert mdp_scaled_limit(hawkes, 1.0) == pytest.approx(4.0, abs=1e-14)
+
+
+def test_mdp_curve_checks_the_assumptions_once(hawkes, monkeypatch):
+    calls = []
+    real = inarlim.model.validate
+    monkeypatch.setattr(inarlim.model, "validate", lambda m: calls.append(m) or real(m))
+    pts = mdp_mgf_curve(hawkes, 0.5, MdpSchedule(beta=0.75, horizons=(100, 1000)))
+    assert len(calls) == 1
+    assert all(p.limit == mdp_scaled_limit(hawkes, 0.5) for p in pts)
 
 
 def test_mdp_curve_approaches_limit(bernoulli_ar1):
