@@ -82,16 +82,6 @@ def test_mdp_insufficient_tail_mass(hawkes):
         validate_mdp(hawkes, x=1.0, beta=0.6, n=1000, reps=20, seed=SEED)
 
 
-def test_mdp_refuses_to_size_a_batch_beyond_its_cap(hawkes, monkeypatch):
-    # P = 1e-63 here: the sized batch would take 6e64 replications
-    def must_not_run(*args):
-        raise AssertionError("simulated a batch it cannot fill")
-
-    monkeypatch.setattr(inarlim.montecarlo, "_batch_sums", must_not_run)
-    with pytest.raises(InsufficientTailMass, match="replications"):
-        validate_mdp(hawkes, x=30.0, beta=0.6, n=100, reps=None, seed=SEED)
-
-
 def test_mdp_sizes_a_batch_by_its_steps(hawkes, monkeypatch):
     sized = []
 
@@ -103,9 +93,11 @@ def test_mdp_sizes_a_batch_by_its_steps(hawkes, monkeypatch):
     # 1.37e6 replications of 100 steps: 2.7e8 steps, within the bound
     validate_mdp(hawkes, x=7.0, beta=0.6, n=100, reps=None, seed=SEED)
     assert sized == [1_368_810]
-    # 3.1e5 replications of 10,000 steps, the CLI's default horizon: 3.2e9 steps
-    with pytest.raises(InsufficientTailMass, match="steps"):
-        validate_mdp(hawkes, x=4.0, beta=0.6, n=10_000, reps=None, seed=SEED)
+    # 3.1e5 replications of 10,000 steps, the CLI's default horizon: 3.2e9 steps;
+    # and P = 1e-63, whose batch would take 6e64 replications of 100 steps
+    for x, n in ((4.0, 10_000), (30.0, 100)):
+        with pytest.raises(InsufficientTailMass, match="replications of"):
+            validate_mdp(hawkes, x=x, beta=0.6, n=n, reps=None, seed=SEED)
     assert len(sized) == 1
 
 
