@@ -41,6 +41,7 @@ from inarlim import (
     limit_cgf,
     lln_mean,
     model_from_spec,
+    montecarlo,
     simulate,
     tilt_fixed_point,
     tilt_recursion,
@@ -77,7 +78,10 @@ def simulate_rows(args):
     0.5, Poisson(1) immigration); and a power law of mean_l1 = 0.9 (a = 2)
     with Poisson(10) immigration, whose first generations are drawn by
     child time.  Each time is the fastest of ``--repeats`` paths, on
-    streams 0, 1, ... of seed 1, in milliseconds.
+    streams 0, 1, ... of seed 1, in milliseconds.  With ``--reps R`` above
+    1, a cell times instead one batch of R replications as the Monte Carlo
+    checks draw it (``montecarlo._batch_sums``, streams 0 .. R - 1 of seed
+    1), fastest of ``--repeats`` batches, in microseconds per replication.
     """
     horizons = [int(v) for v in args.horizons.split(",")]
     kernels = {
@@ -98,10 +102,16 @@ def simulate_rows(args):
     }
 
     def path_ms(m, n):
-        return 1e3 * best_s(lambda r: simulate(m, n, RandomStream(seed=1, stream=r)), args.repeats)
+        seconds = best_s(lambda r: simulate(m, n, RandomStream(seed=1, stream=r)), args.repeats)
+        return f"{1e3 * seconds:.3f}"
 
-    rows = ((name, [f"{path_ms(m, n):.3f}" for n in horizons]) for name, m in kernels.items())
-    return "kernel", [f"n = {n} (ms)" for n in horizons], rows
+    def batch_us_per_rep(m, n):
+        seconds = best_s(lambda _: montecarlo._batch_sums(m, n, args.reps, 1), args.repeats)
+        return f"{1e6 * seconds / args.reps:.1f}"
+
+    cell, unit = (path_ms, "ms") if args.reps == 1 else (batch_us_per_rep, "us/rep")
+    rows = ((name, [cell(m, n) for n in horizons]) for name, m in kernels.items())
+    return "kernel", [f"n = {n} ({unit})" for n in horizons], rows
 
 
 def recursion_rows(args):
@@ -215,6 +225,7 @@ def main():
     p_sim.set_defaults(rows=simulate_rows)
     p_sim.add_argument("--horizons", default="500,10000", help="comma-separated path lengths")
     p_sim.add_argument("--repeats", type=int, default=15, help="paths per cell; the fastest is kept")
+    p_sim.add_argument("--reps", type=int, default=1, help="replications per timed batch (1: one path)")
     p_rec = layers.add_parser("recursion", description=recursion_rows.__doc__)
     p_rec.set_defaults(rows=recursion_rows)
     p_rec.add_argument("--horizons", default="2000,20000", help="comma-separated horizons")

@@ -17,6 +17,7 @@ import functools
 import io
 import json
 import math
+import os
 import secrets
 import sys
 from dataclasses import asdict
@@ -73,6 +74,15 @@ def _write_text(path: str | None, text: str) -> None:
                 fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_out_dir(path: str | None) -> None:
+    """Refuse an ``--out`` in a missing or unwritable directory before any work, touching no file."""
+    if path is None or path == "-":
+        return
+    folder = os.path.dirname(path) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write {path}: {folder} is not a writable directory")
 
 
 def _load_model(path: str) -> InarModel:
@@ -310,6 +320,7 @@ def main(argv=None) -> int:
     try:
         # the commands read the namespace, with --model replaced by the model it names
         args.model = _load_model(args.model)
+        _check_out_dir(args.out)
         return args.run(args)
     except (ConfigError, EnumerationError, InsufficientTailMass) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -518,8 +518,9 @@ class FiniteDecay(_DotDecay):
         return 2.0, "finitely many nonzero lags, tail conditions hold trivially"
 
 
-# A Poisson family draws a generation child by child while its expected children are at
-# most this many per step, and by child time beyond, so a generation's entries stay O(n).
+# A Poisson family draws a generation child by child while its expected children, K A for K
+# parents and total mass A, births past the horizon included, are at most this many per
+# step, and by child time beyond, so a generation's entries stay O(n).
 _PER_CHILD_LIMIT = 4
 
 
@@ -808,43 +809,50 @@ class PoissonOffspring(OffspringSequence):
         """Draw X_1..X_n one generation at a time (the cluster representation).
 
         Generation 0 is the immigration, drawn in one call and held as
-        (times, counts): a time s holding c individuals has Poisson(c A(h))
-        children, where h = n - 1 - s is the number of lags left and
-        A(h) = alpha_1 + ... + alpha_h.  Later generations are held child by
-        child, each child born at s having Poisson(A(h)) children, the same
-        law summed over the c children born at s.  Each child's lag is
-        k <= h with probability alpha_k / A(h), drawn by inverse CDF on the
-        cumsum, and births are tallied into the counts by ``np.bincount``
-        once about n of them wait.  This is exact in law over the whole
-        history, and there are at most n generations.  A generation whose
-        expected children exceed ``_PER_CHILD_LIMIT`` per step is drawn by
-        child time instead (``_children_by_time``), so no generation holds
-        more than O(n) entries however large the counts grow.
+        (times, counts); later generations are held child by child.  By
+        Poisson superposition and splitting, K individuals with Poisson(A)
+        offspring each, A the decay's total mass, have Poisson(K A) children
+        in all, each with a uniform parent and an i.i.d. lag k of
+        probability alpha_k / A.  So a generation is one scalar Poisson draw
+        of its N children and one draw of 2N uniforms: the first N pick the
+        parents, the last N the lags, by inverse CDF on the cumsum of the
+        lag means.  Children born at or past n are dropped, which is exact
+        in law, since all their descendants fall past the horizon too.
+        Births are tallied into the counts by ``np.bincount`` once about n
+        of them wait.  A generation whose expected children K A, births past
+        the horizon included, exceed ``_PER_CHILD_LIMIT`` per step is drawn
+        by child time instead (``_children_by_time``), so no generation
+        holds more than O(n) entries however large the counts grow.
 
         A Poisson mean or a count past the 64-bit range raises OverflowError.
         """
         x = immigration.sample(gen, size=n)
-        cum = np.zeros(n, dtype=np.float64)  # cum[h] = A(h), with A(0) = 0
+        total = self._total_law.lam
+        cum = np.zeros(n, dtype=np.float64)  # cum[h] = alpha_1 + ... + alpha_h, with cum[0] = 0
         np.cumsum(self.decay.coefficients(n - 1), out=cum[1:])
-        mass_left = cum[::-1]  # mass_left[s] = A(n - 1 - s), the mass of the lags left after s
         times = np.flatnonzero(x[:-1])
         counts = x[times]  # None while the generation is held child by child
         waiting, held = [], 0
         while times.size:
-            mass = mass_left[times]
-            lam = mass if counts is None else counts * mass
-            if lam.sum() > _PER_CHILD_LIMIT * n:
+            # individuals numbered by time, in floats so that a sum past the 64-bit range cannot wrap
+            numbered = None if counts is None else np.cumsum(counts, dtype=np.float64)
+            parents = times.size if counts is None else numbered[-1]
+            if parents * total > _PER_CHILD_LIMIT * n:
                 if counts is None:
                     times, counts = np.unique(times, return_counts=True)
                 times, counts = self._children_by_time(times, counts, n, gen)
                 _add_births(x, times, counts)
                 continue
-            kids = gen.poisson(lam)
-            times = np.repeat(times, kids)
-            u = gen.random(times.size) * np.repeat(mass, kids)
-            # the lag k with A(k - 1) <= u < A(k); u < 1 keeps u * A(h) below A(h), so k <= h
-            # (a child is only ever drawn where A(h) is a normal float)
-            times += np.searchsorted(cum, u, side="right")
+            kids = int(gen.poisson(parents * total))
+            u = gen.random(2 * kids)
+            picked = u[:kids] * parents  # the parent numbered floor(picked), below parents as u < 1
+            if counts is None:
+                times = times[picked.astype(np.intp)]
+            else:  # the j-th time holds those numbered numbered[j - 1] .. numbered[j] - 1
+                times = times[numbered.searchsorted(picked, side="right")]
+            # the lag k with cum[k - 1] <= u A < cum[k], or n where u A lies past cum[n - 1]
+            times += cum.searchsorted(u[kids:] * total, side="right")
+            times = times[times < n]
             counts = None
             waiting.append(times)
             held += times.size

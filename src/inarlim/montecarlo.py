@@ -113,12 +113,12 @@ def ks_statistic_normal(z_sorted: np.ndarray) -> float:
 def _batch_sums(m: InarModel, n: int, reps: int, seed: int) -> np.ndarray:
     """S_n of each replication; replication r uses stream r, as in ``simulate_batch``."""
     if reps < 1:
-        raise ValueError(f"replication count must be at least 1, got {reps}")
+        raise ConfigError(f"replication count must be at least 1, got {reps}")
     master = RandomStream(seed=seed)
-    return np.array(
-        [simulate(m, n, master.with_stream(r)).counts.sum() for r in range(reps)],
-        dtype=np.float64,
-    )
+    sums = np.empty(reps, dtype=np.float64)
+    for r in range(reps):
+        sums[r] = simulate(m, n, master.with_stream(r)).counts.sum()
+    return sums
 
 
 def validate_lln(m: InarModel, n: int, reps: int, seed: int, mu_override=None) -> ValidationReport:
@@ -338,7 +338,7 @@ def validate_oracle(m: InarModel, n: int) -> ValidationReport:
 def _oracle_report_and_law(m: InarModel, n: int) -> tuple:
     """``validate_oracle``'s report, with the exact law of S_n it enumerated last."""
     if n < 1:
-        raise ValueError(f"horizon must be at least 1, got {n}")
+        raise ConfigError(f"horizon must be at least 1, got {n}")
     start = time.perf_counter()
     # one tilt recursion per theta gives the exact log-MGF at every horizon
     exact = {theta: log_mgf_by_horizon(m, theta, n) for theta in ORACLE_THETA_GRID}

@@ -166,7 +166,7 @@ class GbarTables:
 
 def gbar_tables(m: InarModel, n: int) -> GbarTables:
     if n < 1:
-        raise ValueError(f"horizon must be at least 1, got {n}")
+        raise ConfigError(f"horizon must be at least 1, got {n}")
     report = require_assumptions(m, labels=("a",))
     # g1 and g2 each sum their own history through the lag means, g1^2 through the lag variances
     g1, g1sq, g2 = m.offspring.mean_decay().expansion_tables(m.offspring.var_decay(), n)

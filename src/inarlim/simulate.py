@@ -14,10 +14,12 @@ counts.  No lag is dropped.  The offspring sequence draws the counts
   step of a list with a law whose variates may pass 2**16, draws each
   lag's sum from the sum's own law;
 * a Poisson family draws all the immigration in one call and then one
-  generation at a time: each immigrant time's children within the
-  horizon, and after that each child's own children, then each child's
-  lag by inverse CDF on the cumulative lag means; a generation with many
-  expected children is drawn by child time instead.
+  generation at a time: K individuals have Poisson(K A) children in all,
+  A the decay's total mass, so a generation is one scalar Poisson draw
+  and one draw of uniforms that give each child a uniform parent and a
+  lag by inverse CDF on the cumulative lag means; children born past the
+  horizon are dropped, and a generation with many expected children is
+  drawn by child time instead.
 
 Reproducibility contract: a ``RandomStream`` is an immutable descriptor
 (seed, stream index); the same descriptor always reproduces the same
@@ -28,7 +30,8 @@ one-lag loop included; those of Bernoulli, finite-support and Constant
 laws still draw the numbers of the per-step loop of earlier versions,
 and other lag lists (since every law reads the tape) other numbers from
 the same law.  Poisson families draw new numbers from the same law at
-this version, since later generations are drawn child by child.  The
+this version, since each generation's children are drawn from one
+Poisson total.  The
 generator's state after the draws is not part of the contract: the tape
 draws uniforms it may leave unread, and ``simulate`` discards the
 generator.

@@ -380,6 +380,18 @@ def test_recursion_dumps(b1_path, h1_path, tmp_path):
     assert float(lines[1].split(",")[2]) == pytest.approx(4.0)
 
 
+def test_unwritable_out_is_refused_before_any_check_runs(h1_path, tmp_path, capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("a check ran before --out was checked")
+
+    monkeypatch.setattr(inarlim.montecarlo, "_batch_sums", must_not_run)
+    out = tmp_path / "missing" / "rep"
+    assert main(["validate", "--model", h1_path, "--checks", "lln", "--n", "2000", "--reps", "200",
+                 "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {out.parent} is not a writable directory\n"
+    assert not out.parent.exists()
+
+
 def test_missing_model_file(tmp_path):
     assert main(["theory", "--model", str(tmp_path / "nope.json")]) == 2
 

@@ -7,6 +7,7 @@ import inarlim.model
 import inarlim.montecarlo
 from inarlim import (
     ConfigError,
+    RandomStream,
     Constant,
     EnumerationError,
     ExplicitOffspring,
@@ -17,6 +18,7 @@ from inarlim import (
     PowerLawDecay,
     clt_variance,
     lln_mean,
+    simulate,
     validate_cesaro,
     validate_clt,
     validate_gamma,
@@ -184,6 +186,29 @@ def test_empirical_checks_refuse_no_work(bernoulli_ar1):
         validate_mdp(bernoulli_ar1, x=1.0, beta=0.6, n=0, reps=100, seed=SEED)
     with pytest.raises(ValueError, match="tilt grid"):
         validate_gamma(bernoulli_ar1, [], n=10, reps=10, seed=SEED)
+
+
+@pytest.mark.parametrize("name", ["hawkes", "bernoulli_ar1"])
+def test_batch_sums_are_each_replications_path_sum(name, request):
+    m = request.getfixturevalue(name)
+    sums = inarlim.montecarlo._batch_sums(m, 60, 25, SEED)
+    paths = [simulate(m, 60, RandomStream(seed=SEED, stream=r)).counts.sum() for r in range(25)]
+    assert sums.dtype == np.float64
+    assert sums.tobytes() == np.array(paths, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda m: validate_lln(m, 10, 0, 1),
+        lambda m: validate_oracle(m, 0),
+        lambda m: validate_cesaro(m, 0),
+    ],
+    ids=["lln-reps", "oracle-n", "cesaro-n"],
+)
+def test_sizes_below_one_raise_config_errors(bernoulli_ar1, check):
+    with pytest.raises(ConfigError, match="at least 1"):
+        check(bernoulli_ar1)
 
 
 def test_oracle_check_needs_a_bounded_model_and_a_horizon(hawkes, bernoulli_ar1):

@@ -72,6 +72,14 @@ def test_layer_timing_prints_each_layers_header_and_rows(layer, args, header, ro
     assert [line.split(" | ")[0].strip("| ") for line in lines[2:]] == rows
 
 
+def test_simulate_timing_times_batches_per_replication():
+    out = _run_script("layer_timing.py", ["simulate", "--horizons", "5,20", "--repeats", "1", "--reps", "3"])
+    lines = out.splitlines()
+    assert lines[0].strip("| ").split(" | ") == ["kernel", "n = 5 (us/rep)", "n = 20 (us/rep)"]
+    assert [line.split(" | ")[0].strip("| ") for line in lines[2:7]] == FIXTURES
+    assert all(float(cell) > 0.0 for line in lines[2:] for cell in line.strip("| ").split(" | ")[1:])
+
+
 def test_recursion_timing_times_the_tables_at_their_own_horizons():
     args = ["recursion", "--horizons", "5", "--table-horizons", "7,30", "--repeats", "1"]
     out = _run_script("layer_timing.py", args)

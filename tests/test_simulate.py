@@ -97,6 +97,19 @@ def test_poisson_total_collapse_matches_per_lag_draws():
     assert stat < critical
 
 
+@pytest.mark.parametrize("decay", [GeometricDecay(0.0, 0.5), PowerLawDecay(0.0, 2.0), FiniteDecay((0.0, 0.0))])
+def test_family_without_mass_returns_the_immigration_draws(decay):
+    m = InarModel(Poisson(3.0), PoissonOffspring(decay))
+    immigration = Poisson(3.0).sample(RandomStream(seed=4).generator(), size=200)
+    assert simulate(m, 200, RandomStream(seed=4)).counts.tolist() == immigration.tolist()
+
+
+def test_parents_past_the_64_bit_range_are_counted_without_wrapping():
+    # three parents of 2**62 immigrants each (the last step has none): an int64 sum would wrap
+    m = InarModel(Constant(2**62), PoissonOffspring(FiniteDecay((1e-30,))))
+    assert simulate(m, 4, RandomStream(seed=0)).counts.tolist() == [2**62] * 4
+
+
 def test_mean_stability(hawkes):
     reps, n = 400, 150
     mat = np.zeros((reps, n))
