@@ -520,7 +520,8 @@ class FiniteDecay(_DotDecay):
 
 # A Poisson family draws a generation child by child while its expected children, K A for K
 # parents and total mass A, births past the horizon included, are at most this many per
-# step, and by child time beyond, so a generation's entries stay O(n).
+# step, and by child time beyond, so a generation's entries stay O(n).  A generation held as
+# (times, counts) is spread out one by one while its individuals are at most this many per step.
 _PER_CHILD_LIMIT = 4
 
 
@@ -816,13 +817,17 @@ class PoissonOffspring(OffspringSequence):
         probability alpha_k / A.  So a generation is one scalar Poisson draw
         of its N children and one draw of 2N uniforms: the first N pick the
         parents, the last N the lags, by inverse CDF on the cumsum of the
-        lag means.  Children born at or past n are dropped, which is exact
-        in law, since all their descendants fall past the horizon too.
-        Births are tallied into the counts by ``np.bincount`` once about n
-        of them wait.  A generation whose expected children K A, births past
-        the horizon included, exceed ``_PER_CHILD_LIMIT`` per step is drawn
-        by child time instead (``_children_by_time``), so no generation
-        holds more than O(n) entries however large the counts grow.
+        lag means.  A generation held as (times, counts) picks its parents
+        from the cumsum of its counts, or, holding at most
+        ``_PER_CHILD_LIMIT`` n individuals, spreads them out one by one
+        first; both pick the same parents.  Children born at or past n are
+        dropped, which is exact in law, since all their descendants fall
+        past the horizon too.  Births are tallied into the counts by
+        ``np.bincount`` once about n of them wait.  A generation whose
+        expected children K A, births past the horizon included, exceed
+        ``_PER_CHILD_LIMIT`` per step is drawn by child time instead
+        (``_children_by_time``), so no generation holds more than O(n)
+        entries however large the counts grow.
 
         A Poisson mean or a count past the 64-bit range raises OverflowError.
         """
@@ -843,6 +848,9 @@ class PoissonOffspring(OffspringSequence):
                 times, counts = self._children_by_time(times, counts, n, gen)
                 _add_births(x, times, counts)
                 continue
+            if counts is not None and parents <= _PER_CHILD_LIMIT * n:
+                # a gather among O(n) individuals is faster than a search among the times
+                times, counts = np.repeat(times, counts), None
             kids = int(gen.poisson(parents * total))
             u = gen.random(2 * kids)
             picked = u[:kids] * parents  # the parent numbered floor(picked), below parents as u < 1

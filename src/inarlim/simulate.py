@@ -31,10 +31,9 @@ laws still draw the numbers of the per-step loop of earlier versions,
 and other lag lists (since every law reads the tape) other numbers from
 the same law.  Poisson families draw new numbers from the same law at
 this version, since each generation's children are drawn from one
-Poisson total.  The
-generator's state after the draws is not part of the contract: the tape
-draws uniforms it may leave unread, and ``simulate`` discards the
-generator.
+Poisson total.  The generator's state after the draws is not part of
+the contract: the tape draws uniforms it may leave unread, and
+``simulate`` discards the generator.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ import inarlim.model
 import inarlim.montecarlo
 from inarlim import (
     ConfigError,
-    RandomStream,
     Constant,
     EnumerationError,
     ExplicitOffspring,
@@ -16,6 +15,7 @@ from inarlim import (
     Poisson,
     PoissonOffspring,
     PowerLawDecay,
+    RandomStream,
     clt_variance,
     lln_mean,
     simulate,

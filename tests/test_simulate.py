@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import inarlim.model
 from inarlim import (
     Bernoulli,
     Binomial,
@@ -108,6 +109,14 @@ def test_parents_past_the_64_bit_range_are_counted_without_wrapping():
     # three parents of 2**62 immigrants each (the last step has none): an int64 sum would wrap
     m = InarModel(Constant(2**62), PoissonOffspring(FiniteDecay((1e-30,))))
     assert simulate(m, 4, RandomStream(seed=0)).counts.tolist() == [2**62] * 4
+
+
+def test_a_generation_too_large_to_hold_one_by_one_picks_the_same_parents(monkeypatch):
+    # about 30n immigrants, past the 4n a generation holds one by one, with 0.9n expected children
+    m = InarModel(Poisson(30.0), PoissonOffspring(FiniteDecay((0.01, 0.02))))
+    searched = simulate(m, 300, RandomStream(seed=2)).counts
+    monkeypatch.setattr(inarlim.model, "_PER_CHILD_LIMIT", 10**6)
+    assert simulate(m, 300, RandomStream(seed=2)).counts.tolist() == searched.tolist()
 
 
 def test_mean_stability(hawkes):
